@@ -67,7 +67,7 @@ struct SimConfig {
   /// primary on private cores that share this config's memory system —
   /// cache capacity, MSHRs, bus bandwidth, and the hardware prefetcher.
   /// Empty (the default) runs the solo path, bit-identical to builds that
-  /// predate mixes. See sim/MixSimulation.h and DESIGN.md §16.
+  /// predate mixes. See sim/Machine.h and DESIGN.md §16.
   std::vector<std::string> MixWith;
   /// Mix co-scheduling quantum: each lane advances until its local clock
   /// reaches the shared boundary, which then moves forward by this many

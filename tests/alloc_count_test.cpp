@@ -20,20 +20,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "branch/BranchPredictor.h"
-#include "core/TridentRuntime.h"
-#include "events/EventBus.h"
-#include "hwpf/StreamBuffer.h"
-#include "mem/MemorySystem.h"
-#include "sim/Simulation.h"
-#include "trident/CodeCache.h"
+#include "sim/Machine.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
 
 //===----------------------------------------------------------------------===//
@@ -78,50 +71,17 @@ using namespace trident;
 
 namespace {
 
-uint64_t countedRun(SmtCore &Core, uint64_t Instructions) {
+/// Runs the real machine (sim/Machine.h) for \p Instructions more
+/// committed instructions with the allocation counter on, so the window
+/// wraps exactly the measured runUntil and nothing else.
+uint64_t countedRun(Machine &M, uint64_t Instructions) {
+  uint64_t Goal = M.primary().stats(0).CommittedOriginal + Instructions;
   GAllocs.store(0, std::memory_order_relaxed);
   GCounting.store(true, std::memory_order_relaxed);
-  Core.run(Instructions);
+  M.runUntil(Goal);
   GCounting.store(false, std::memory_order_relaxed);
   return GAllocs.load(std::memory_order_relaxed);
 }
-
-/// Replicates runSimulation's machine wiring (Simulation.cpp) with the
-/// seams exposed, so the counting window can wrap exactly the measured
-/// Core.run and nothing else.
-struct Machine {
-  Program Prog;
-  DataMemory Data;
-  MemorySystem Mem;
-  CodeCache CC;
-  CodeImage Image;
-  SmtCore Core;
-  MetaPredictor Predictor;
-  EventBus Bus;
-  std::unique_ptr<TridentRuntime> Runtime;
-
-  explicit Machine(const Workload &W, const SimConfig &Config)
-      : Prog(W.Prog), Mem(Config.Mem), Image(Prog, CC),
-        Core(Config.Core, Image, Data, Mem) {
-    W.Init(Data);
-    std::string PfError;
-    std::unique_ptr<HwPrefetcher> Unit = PrefetcherRegistry::instance().create(
-        Config.HwPf, PrefetcherEnv{}, &PfError);
-    EXPECT_TRUE(Unit || PrefetcherRegistry::isNone(Config.HwPf)) << PfError;
-    if (Unit)
-      Mem.attachPrefetcher(std::move(Unit));
-    Core.setBranchPredictor(&Predictor);
-    Core.setEventBus(&Bus);
-    if (Config.EnableTrident) {
-      RuntimeConfig RC = Config.Runtime;
-      RC.MemoryLatency = Config.Mem.MemoryLatency;
-      RC.L1HitLatency = Config.Mem.L1.HitLatency;
-      Runtime = std::make_unique<TridentRuntime>(RC, Prog, Core, CC);
-      Runtime->attach(Bus);
-    }
-    Core.startContext(0, Prog.entryPC());
-  }
-};
 
 } // namespace
 
@@ -136,10 +96,9 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
     Machine M(makeWorkload(Name), SimConfig::hwBaseline());
     // Warmup long enough that the working set's pages, the stream-buffer
     // rings, and the ROB heap all reach their steady-state footprint.
-    M.Core.run(150'000);
-    M.Core.clearStats();
-    M.Mem.clearStats();
-    uint64_t Allocs = countedRun(M.Core, 40'000);
+    M.runUntil(150'000);
+    M.startMeasurement();
+    uint64_t Allocs = countedRun(M, 40'000);
     EXPECT_EQ(Allocs, 0u)
         << Name << ": the pure-hardware measurement window heap-allocated "
         << Allocs << " time(s); the cycle loop must be allocation-free";
@@ -153,13 +112,9 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
 TEST(AllocCount, TridentAllocationsScaleWithOptimizerEventsNotCycles) {
   Machine M(makeWorkload("mcf"),
             SimConfig::withMode(PrefetchMode::SelfRepairing));
-  M.Core.run(100'000);
-  M.Runtime->setEnabled(true);
-  M.Core.clearStats();
-  M.Mem.clearStats();
-  M.Bus.clearCounts();
-  M.Runtime->clearStats();
-  uint64_t Allocs = countedRun(M.Core, 40'000);
+  M.runUntil(100'000);
+  M.startMeasurement();
+  uint64_t Allocs = countedRun(M, 40'000);
 
   // Everything the optimizer did in the window, at event granularity.
   uint64_t Activity = M.Bus.published(EventKind::HotTrace) +
@@ -177,7 +132,7 @@ TEST(AllocCount, TridentAllocationsScaleWithOptimizerEventsNotCycles) {
       << ") exceed the activity-proportional budget (" << Bound << " for "
       << Activity << " optimizer events)";
 
-  uint64_t Commits = M.Core.stats(0).CommittedOriginal;
+  uint64_t Commits = M.primary().stats(0).CommittedOriginal;
   EXPECT_LT(Allocs, Commits / 4)
       << "allocation count looks per-instruction, not per-optimizer-event";
 }
