@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates the golden stat snapshots in tests/golden/ from the current
-# build. Run this after an *intentional* behaviour change, then review the
-# resulting diff like any other code change before committing it.
+# Regenerates every golden in tests/golden/ from the current build: the
+# stat snapshots, the fuzzed-scenario snapshots and the sweep identity
+# fingerprints. Run this after an *intentional* behaviour change, then
+# review the resulting diff like any other code change before committing.
 #
 # Usage: tools/update_goldens.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -9,10 +10,13 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
-cmake --build "$BUILD_DIR" --target golden_stats_test fuzz_golden_test -j
-(cd "$BUILD_DIR/tests" && TRIDENT_UPDATE_GOLDENS=1 ./golden_stats_test)
-(cd "$BUILD_DIR/tests" && TRIDENT_UPDATE_GOLDENS=1 ./fuzz_golden_test)
+TESTS=(golden_stats_test fuzz_golden_test sweep_identity_test)
+
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}" -j
+for T in "${TESTS[@]}"; do
+  (cd "$BUILD_DIR/tests" && TRIDENT_UPDATE_GOLDENS=1 "./$T")
+done
 
 echo
-echo "Golden snapshots rewritten; review before committing:"
+echo "Goldens rewritten; review before committing:"
 git -C "$REPO_ROOT" status --short -- tests/golden
