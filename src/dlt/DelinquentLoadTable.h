@@ -98,6 +98,12 @@ class DelinquentLoadTable {
 public:
   explicit DelinquentLoadTable(const DltConfig &Config);
 
+  /// The shape the constructor requires: entries split evenly into a
+  /// power-of-two number of Assoc-way sets, and the miss threshold fits in
+  /// the monitoring window. Returns "" when \p Config can build a table,
+  /// else a one-line reason (front ends check this before building one).
+  static std::string configError(const DltConfig &Config);
+
   /// Records one committed hot-trace load. \p Miss is true for any access
   /// the L1 could not serve at hit latency; \p MissLatency is the exposed
   /// latency beyond the L1 hit time. Returns true when the update raises a

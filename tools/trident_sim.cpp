@@ -15,6 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dlt/DelinquentLoadTable.h"
 #include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
 #include "support/Table.h"
@@ -92,11 +93,40 @@ void usage(const char *Prog) {
       "  --faults PATH          inject faults from a JSON fault plan (see\n"
       "                         DESIGN.md section 11 for the schema); the\n"
       "                         run stays deterministic for a fixed plan\n"
-      "  --verbose              full statistics dump\n",
+      "  --verbose              full statistics dump\n"
+      "numeric values are plain decimal integers; a malformed or\n"
+      "out-of-range value exits 2 with a one-line error\n",
       Prog);
 }
 
 const char *onOff(bool B) { return B ? "on" : "off"; }
+
+/// Upper bound for instruction budgets and other large counts: far beyond
+/// any practical run, and small enough that no commit goal can wrap.
+constexpr uint64_t kMaxCount = uint64_t(1) << 40;
+/// Upper bound for table and window sizes.
+constexpr uint64_t kMaxSize = uint64_t(1) << 20;
+
+/// The one parser for numeric flag values: decimal digits only (no sign,
+/// no blanks, no suffix), no overflow, and within [Min, Max]. Anything
+/// else prints a one-line error and exits 2.
+uint64_t parseNumber(const char *Flag, const char *Text, uint64_t Min,
+                     uint64_t Max) {
+  uint64_t V = 0;
+  bool Ok = *Text != '\0';
+  for (const char *P = Text; Ok && *P; ++P) {
+    unsigned Digit = static_cast<unsigned char>(*P) - unsigned('0');
+    Ok = Digit <= 9 && V <= (Max - Digit) / 10;
+    V = V * 10 + Digit;
+  }
+  if (!Ok || V < Min) {
+    std::fprintf(stderr, "error: %s expects an integer in [%llu, %llu], got "
+                         "'%s'\n",
+                 Flag, (unsigned long long)Min, (unsigned long long)Max, Text);
+    std::exit(2);
+  }
+  return V;
+}
 
 void printStats(const SimResult &R, bool Verbose) {
   std::printf("workload         %s\n", R.Workload.c_str());
@@ -243,6 +273,10 @@ int main(int argc, char **argv) {
     }
     return argv[++I];
   };
+  auto numValue = [&](int &I, uint64_t Min, uint64_t Max) -> uint64_t {
+    const char *Flag = argv[I];
+    return parseNumber(Flag, needValue(I), Min, Max);
+  };
 
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
@@ -255,19 +289,19 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(A, "--mix"))
       MixSpec = needValue(I);
     else if (!std::strcmp(A, "--mix-quantum"))
-      MixQuantum = std::strtoull(needValue(I), nullptr, 10);
+      MixQuantum = numValue(I, 1, kMaxCount);
     else if (!std::strcmp(A, "--mode"))
       Mode = needValue(I);
     else if (!std::strcmp(A, "--hwpf"))
       HwPf = needValue(I);
     else if (!std::strcmp(A, "--hwpf-feedback"))
-      HwPfFeedback = std::strtoull(needValue(I), nullptr, 10);
+      HwPfFeedback = numValue(I, 0, kMaxCount);
     else if (!std::strcmp(A, "--selector"))
       Selector = needValue(I);
     else if (!std::strcmp(A, "--instr"))
-      Instr = std::strtoull(needValue(I), nullptr, 10);
+      Instr = numValue(I, 1, kMaxCount);
     else if (!std::strcmp(A, "--warmup"))
-      Warmup = std::strtoull(needValue(I), nullptr, 10);
+      Warmup = numValue(I, 0, kMaxCount);
     else if (!std::strcmp(A, "--compare"))
       Compare = true;
     else if (!std::strcmp(A, "--no-link"))
@@ -279,18 +313,17 @@ int main(int argc, char **argv) {
     else if (!std::strcmp(A, "--phase-adapt"))
       PhaseAdapt = true;
     else if (!std::strcmp(A, "--dlt-entries"))
-      DltEntries = static_cast<unsigned>(std::strtoul(needValue(I), nullptr, 10));
+      DltEntries = static_cast<unsigned>(numValue(I, 1, kMaxSize));
     else if (!std::strcmp(A, "--window"))
-      Window = static_cast<unsigned>(std::strtoul(needValue(I), nullptr, 10));
+      Window = static_cast<unsigned>(numValue(I, 1, kMaxSize));
     else if (!std::strcmp(A, "--miss-threshold"))
-      MissThreshold =
-          static_cast<unsigned>(std::strtoul(needValue(I), nullptr, 10));
+      MissThreshold = static_cast<unsigned>(numValue(I, 0, kMaxSize));
     else if (!std::strcmp(A, "--distance-cap"))
-      DistanceCap = std::atoi(needValue(I));
+      DistanceCap = static_cast<int>(numValue(I, 1, kMaxSize));
     else if (!std::strcmp(A, "--trace-out"))
       TraceOut = needValue(I);
     else if (!std::strcmp(A, "--trace-capacity"))
-      TraceCapacity = std::strtoull(needValue(I), nullptr, 10);
+      TraceCapacity = numValue(I, 1, kMaxSize);
     else if (!std::strcmp(A, "--stats-out"))
       StatsOut = needValue(I);
     else if (!std::strcmp(A, "--faults"))
@@ -443,8 +476,11 @@ int main(int argc, char **argv) {
   C.Runtime.Dlt.MonitorWindow = Window;
   C.Runtime.Dlt.MissThreshold = MissThreshold;
   C.Runtime.DistanceCap = DistanceCap;
-  if (MixQuantum == 0) {
-    std::fprintf(stderr, "error: --mix-quantum must be positive\n");
+  if (std::string Why = DelinquentLoadTable::configError(C.Runtime.Dlt);
+      !Why.empty()) {
+    std::fprintf(stderr, "error: bad DLT shape (--dlt-entries/--window/"
+                         "--miss-threshold): %s\n",
+                 Why.c_str());
     return 2;
   }
   C.MixWith = MixCoRunners;
