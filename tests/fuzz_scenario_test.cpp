@@ -246,8 +246,8 @@ TEST(FuzzScenario, FuzzedMixesHoldTheSoloInvariants) {
   // Co-runners make real progress (the scheduler is not starving lanes)...
   EXPECT_GT(A.MixLanes[0].Instructions, 0u);
   EXPECT_GT(A.MixLanes[1].Instructions, 0u);
-  // ...and lane clocks stay within one quantum of the primary's window
-  // (the round-robin boundary contract).
+  // ...and lane clocks stay close to the primary's window (rounds end at
+  // the shared boundary, plus any skip-ahead overshoot past it).
   for (const SimResult::MixLane &L : A.MixLanes)
     EXPECT_LE(L.Cycles, A.Cycles + 2 * C.MixQuantumCycles) << L.Workload;
   ASSERT_TRUE(A.Registry && B.Registry);
