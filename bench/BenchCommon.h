@@ -21,6 +21,9 @@
 ///   TRIDENT_BENCH_JOBS   worker threads for the batch runner
 ///                        (default: all hardware threads)
 ///
+/// Numeric knobs are read with the one decimal reader (support/Knobs.h): a
+/// malformed value prints one line and exits 2.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRIDENT_BENCH_BENCHCOMMON_H
@@ -28,6 +31,7 @@
 
 #include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
+#include "support/Knobs.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
@@ -42,10 +46,8 @@ namespace trident {
 namespace bench {
 
 inline uint64_t instrBudget() {
-  uint64_t N = 2'000'000;
-  if (const char *E = std::getenv("TRIDENT_BENCH_INSTR"))
-    if (uint64_t V = std::strtoull(E, nullptr, 10))
-      N = V;
+  uint64_t N =
+      envDecimal("TRIDENT_BENCH_INSTR", 2'000'000, 1, uint64_t(1) << 40);
   if (const char *Q = std::getenv("TRIDENT_BENCH_QUICK"))
     if (*Q && *Q != '0')
       N /= 4;
@@ -53,6 +55,22 @@ inline uint64_t instrBudget() {
 }
 
 inline uint64_t warmupBudget() { return 100'000; }
+
+/// The members of \p All named in the comma-separated environment list
+/// \p Name, in \p All's order; all of \p All when the list is unset or
+/// empty.
+inline std::vector<std::string> envFilter(const char *Name,
+                                          const std::vector<std::string> &All) {
+  const char *E = std::getenv(Name);
+  if (!E || !*E)
+    return All;
+  const std::string List = std::string(",") + E + ",";
+  std::vector<std::string> Out;
+  for (const std::string &N : All)
+    if (List.find("," + N + ",") != std::string::npos)
+      Out.push_back(N);
+  return Out;
+}
 
 inline SimConfig withBudget(SimConfig C) {
   C.SimInstructions = instrBudget();

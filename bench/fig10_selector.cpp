@@ -38,28 +38,6 @@ using namespace trident::bench;
 
 namespace {
 
-std::vector<std::string> envList(const char *Name) {
-  std::vector<std::string> Out;
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Out;
-  std::string S(E);
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Pos)
-      Out.push_back(S.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
-bool contains(const std::vector<std::string> &V, const std::string &S) {
-  return std::find(V.begin(), V.end(), S) != V.end();
-}
-
 void jsonEscapeInto(std::string &Out, const std::string &S) {
   for (char C : S) {
     if (C == '"' || C == '\\')
@@ -110,15 +88,9 @@ int main() {
               "beyond the paper: runtime-guided reconfiguration (POWER7) / "
               "online selection (Pythia) bounded by a replay oracle");
 
-  std::vector<std::string> Loads;
-  {
-    std::vector<std::string> Filter = envList("TRIDENT_FIG10_WORKLOADS");
-    for (const std::string &N : workloadNames())
-      if (Filter.empty() || contains(Filter, N))
-        Loads.push_back(N);
-  }
-  const std::vector<std::string> Arms =
-      PrefetcherRegistry::instance().arsenalNames();
+  const std::vector<std::string> Loads =
+      envFilter("TRIDENT_FIG10_WORKLOADS", workloadNames());
+  const std::vector<std::string> Arms = PrefetcherRegistry::instance().names();
   const FaultPlan Plan = regimeShiftPlan();
 
   auto baseConfig = [&](const std::string &Pf) {

@@ -45,35 +45,6 @@ using namespace trident::bench;
 
 namespace {
 
-uint64_t envU64(const char *Name, uint64_t Default) {
-  if (const char *E = std::getenv(Name))
-    if (*E)
-      return std::strtoull(E, nullptr, 10);
-  return Default;
-}
-
-std::vector<std::string> envList(const char *Name) {
-  std::vector<std::string> Out;
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Out;
-  std::string S(E);
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Pos)
-      Out.push_back(S.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
-bool contains(const std::vector<std::string> &V, const std::string &S) {
-  return std::find(V.begin(), V.end(), S) != V.end();
-}
-
 void jsonEscapeInto(std::string &Out, const std::string &S) {
   for (char C : S) {
     if (C == '"' || C == '\\')
@@ -123,17 +94,14 @@ int main() {
               "no direct paper analogue: out-of-distribution robustness of "
               "the arsenal, plus mix-induced ranking changes");
 
-  const uint64_t NumScenarios = envU64("TRIDENT_FIG11_SCENARIOS", 50);
-  const uint64_t Seed0 = envU64("TRIDENT_FIG11_SEED0", 1000);
-  const uint64_t NumMixes = envU64("TRIDENT_FIG11_MIX", 6);
+  const uint64_t NumScenarios =
+      envDecimal("TRIDENT_FIG11_SCENARIOS", 50, 0, 100'000);
+  const uint64_t Seed0 = envDecimal("TRIDENT_FIG11_SEED0", 1000, 0, UINT64_MAX);
+  const uint64_t NumMixes = envDecimal("TRIDENT_FIG11_MIX", 6, 0, 100'000);
 
-  std::vector<std::string> Hwpfs = {"none"};
-  {
-    std::vector<std::string> Filter = envList("TRIDENT_FIG11_HWPF");
-    for (const std::string &N : PrefetcherRegistry::instance().arsenalNames())
-      if (Filter.empty() || contains(Filter, N))
-        Hwpfs.push_back(N);
-  }
+  std::vector<std::string> Hwpfs = envFilter(
+      "TRIDENT_FIG11_HWPF", PrefetcherRegistry::instance().names());
+  Hwpfs.insert(Hwpfs.begin(), "none");
 
   std::vector<std::string> Scenarios;
   for (uint64_t I = 0; I < NumScenarios; ++I) {

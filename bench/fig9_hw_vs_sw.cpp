@@ -33,29 +33,6 @@ using namespace trident::bench;
 
 namespace {
 
-/// Splits a comma-separated env value; empty result means "no filter".
-std::vector<std::string> envList(const char *Name) {
-  std::vector<std::string> Out;
-  const char *E = std::getenv(Name);
-  if (!E || !*E)
-    return Out;
-  std::string S(E);
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = S.size();
-    if (Comma > Pos)
-      Out.push_back(S.substr(Pos, Comma - Pos));
-    Pos = Comma + 1;
-  }
-  return Out;
-}
-
-bool contains(const std::vector<std::string> &V, const std::string &S) {
-  return std::find(V.begin(), V.end(), S) != V.end();
-}
-
 void jsonEscapeInto(std::string &Out, const std::string &S) {
   for (char C : S) {
     if (C == '"' || C == '\\')
@@ -73,20 +50,11 @@ int main() {
 
   // Axes. "none" is always present: every speedup in this figure is over
   // the no-prefetch, no-Trident machine.
-  std::vector<std::string> Hwpfs = {"none"};
-  {
-    std::vector<std::string> Filter = envList("TRIDENT_FIG9_HWPF");
-    for (const std::string &N : PrefetcherRegistry::instance().arsenalNames())
-      if (Filter.empty() || contains(Filter, N))
-        Hwpfs.push_back(N);
-  }
-  std::vector<std::string> Loads;
-  {
-    std::vector<std::string> Filter = envList("TRIDENT_FIG9_WORKLOADS");
-    for (const std::string &N : workloadNames())
-      if (Filter.empty() || contains(Filter, N))
-        Loads.push_back(N);
-  }
+  std::vector<std::string> Hwpfs = envFilter(
+      "TRIDENT_FIG9_HWPF", PrefetcherRegistry::instance().names());
+  Hwpfs.insert(Hwpfs.begin(), "none");
+  const std::vector<std::string> Loads =
+      envFilter("TRIDENT_FIG9_WORKLOADS", workloadNames());
 
   // One flat batch: workload-major, then Trident off/on, then prefetcher.
   // The shared memo-cache dedups the overlap with other figures' jobs.
@@ -162,7 +130,7 @@ int main() {
 
   // The paper's classic four-way table, when its configurations survived
   // the axis filters.
-  if (contains(Hwpfs, "sb8x8")) {
+  if (std::find(Hwpfs.begin(), Hwpfs.end(), "sb8x8") != Hwpfs.end()) {
     size_t Sb = size_t(std::find(Hwpfs.begin(), Hwpfs.end(),
                                  std::string("sb8x8")) -
                        Hwpfs.begin());

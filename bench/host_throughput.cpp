@@ -51,11 +51,7 @@ std::vector<ExperimentJob> buildSweep() {
 }
 
 unsigned repeatCount() {
-  unsigned N = 3;
-  if (const char *E = std::getenv("TRIDENT_BENCH_REPEATS"))
-    if (unsigned V = static_cast<unsigned>(std::strtoul(E, nullptr, 10)))
-      N = V;
-  return N;
+  return static_cast<unsigned>(envDecimal("TRIDENT_BENCH_REPEATS", 3, 1, 1000));
 }
 
 struct Leg {

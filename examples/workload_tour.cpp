@@ -12,16 +12,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/Simulation.h"
+#include "support/Knobs.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace trident;
 
 int main(int argc, char **argv) {
-  uint64_t N = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000;
+  uint64_t N = argc > 1 ? decimalOrExit("instructions-per-run", argv[1], 1,
+                                        uint64_t(1) << 40)
+                         : 1'000'000;
 
   Table T({"benchmark", "behaviour", "IPC hw", "IPC +self-rep", "speedup",
            "miss coverage"});

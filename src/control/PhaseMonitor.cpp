@@ -27,7 +27,7 @@ PhaseMonitor::PhaseMonitor(const SelectorConfig &C, MemorySystem &M,
                            const PrefetcherEnv &E,
                            const std::string &InitialSpec)
     : Cfg(C), Mem(M), Env(E),
-      Arms(PrefetcherRegistry::instance().arsenalNames()) {
+      Arms(PrefetcherRegistry::instance().names()) {
   TRIDENT_CHECK(Cfg.enabled(), "PhaseMonitor built for the static policy");
   TRIDENT_CHECK(!Arms.empty(), "selector needs a nonempty arsenal");
   CurrentArm = armOf(Arms, InitialSpec);

@@ -6,12 +6,13 @@
 
 #include "control/PrefetcherSelector.h"
 
-#include "hwpf/PrefetcherRegistry.h"
 #include "support/Check.h"
 #include "support/Random.h"
 #include "support/StatRegistry.h"
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 using namespace trident;
@@ -28,66 +29,47 @@ const char *trident::selectorPolicyName(SelectorPolicy P) {
   return "<bad>";
 }
 
+namespace {
+
+/// The bandit's knobs; the oracle takes the first two (it only shapes the
+/// epoch clock) and static takes none.
+constexpr Knob kSelectorKnobs[] = {
+    knob<&SelectorConfig::SamplesPerEpoch>("epoch", 1, UINT32_MAX),
+    knob<&SelectorConfig::IntervalCommits>("interval", 1, UINT32_MAX),
+    knob<&SelectorConfig::Seed>("seed", 0, UINT64_MAX),
+    knob<&SelectorConfig::EpsilonPermille>("eps", 0, 1000),
+    knob<&SelectorConfig::Ucb>("ucb", 0, 1),
+    knob<&SelectorConfig::EmaPermille>("ema", 1, 1000),
+};
+
+} // namespace
+
+KnobTable SelectorConfig::knobTable(SelectorPolicy P) {
+  return KnobTable(kSelectorKnobs)
+      .first(P == SelectorPolicy::Bandit   ? std::size(kSelectorKnobs)
+             : P == SelectorPolicy::Oracle ? 2
+                                           : 0);
+}
+
 bool SelectorConfig::parse(const std::string &Spec, SelectorConfig &Out,
                            std::string *Error) {
   Out = SelectorConfig();
   if (Spec.empty())
     return true;
-  PrefetcherSpec S;
-  if (!PrefetcherSpec::parse(Spec, S, Error))
-    return false;
-  if (S.Name == "static")
+  const std::string Name = Spec.substr(0, Spec.find(':'));
+  if (Name == "static")
     Out.Policy = SelectorPolicy::Static;
-  else if (S.Name == "bandit")
+  else if (Name == "bandit")
     Out.Policy = SelectorPolicy::Bandit;
-  else if (S.Name == "oracle")
+  else if (Name == "oracle")
     Out.Policy = SelectorPolicy::Oracle;
   else {
     if (Error)
-      *Error = "unknown selector policy '" + S.Name +
+      *Error = "unknown selector policy '" + Name +
                "' (policies: static, bandit, oracle)";
     return false;
   }
-  // Per-policy knob vocabulary: the bandit owns the learning knobs; the
-  // oracle only shapes the epoch clock; static takes nothing.
-  auto KnobAllowed = [&](const std::string &K) {
-    if (Out.Policy == SelectorPolicy::Static)
-      return false;
-    if (K == "epoch" || K == "interval")
-      return true;
-    return Out.Policy == SelectorPolicy::Bandit &&
-           (K == "seed" || K == "eps" || K == "ucb" || K == "ema");
-  };
-  for (const auto &K : S.Knobs) {
-    if (!KnobAllowed(K.first)) {
-      if (Error)
-        *Error = "unknown knob '" + K.first + "' for selector policy '" +
-                 S.Name +
-                 "' (bandit: epoch, interval, seed, eps, ucb, ema; "
-                 "oracle: epoch, interval; static: none)";
-      return false;
-    }
-  }
-  Out.SamplesPerEpoch = S.knobOr("epoch", Out.SamplesPerEpoch);
-  Out.IntervalCommits = S.knobOr("interval", Out.IntervalCommits);
-  Out.Seed = S.knobOr("seed", Out.Seed);
-  Out.EpsilonPermille = S.knobOr("eps", Out.EpsilonPermille);
-  Out.Ucb = S.knobOr("ucb", Out.Ucb ? 1 : 0) != 0;
-  Out.EmaPermille = S.knobOr("ema", Out.EmaPermille);
-  if (Out.enabled() && (Out.SamplesPerEpoch == 0 || Out.IntervalCommits == 0)) {
-    if (Error)
-      *Error = "selector knobs epoch/interval must be nonzero in spec '" +
-               Spec + "'";
-    return false;
-  }
-  if (Out.EpsilonPermille > 1000 || Out.EmaPermille == 0 ||
-      Out.EmaPermille > 1000) {
-    if (Error)
-      *Error = "selector knob out of range in spec '" + Spec +
-               "' (eps: 0..1000, ema: 1..1000)";
-    return false;
-  }
-  return true;
+  return parseKnobs(Spec, knobTable(Out.Policy), &Out, Error);
 }
 
 std::string SelectorConfig::shortName() const {

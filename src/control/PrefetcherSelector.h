@@ -12,7 +12,7 @@
 ///
 ///  * static — today's behavior; the selector machinery is never built.
 ///  * bandit — a seeded epsilon-greedy / UCB1 multi-armed bandit over
-///    PrefetcherRegistry::arsenalNames(), rewarding low exposed latency
+///    PrefetcherRegistry::names(), rewarding low exposed latency
 ///    per demand load with an EMA so regime shifts age old phases out.
 ///  * oracle — a two-pass replay upper bound: the memoized
 ///    ExperimentRunner runs every static unit first, the best one is
@@ -28,6 +28,8 @@
 
 #ifndef TRIDENT_CONTROL_PREFETCHERSELECTOR_H
 #define TRIDENT_CONTROL_PREFETCHERSELECTOR_H
+
+#include "support/Knobs.h"
 
 #include <cstdint>
 #include <memory>
@@ -71,13 +73,15 @@ struct SelectorConfig {
   /// True when the control plane is built at all.
   bool enabled() const { return Policy != SelectorPolicy::Static; }
 
-  /// Parses \p Spec (`static`, `bandit[:knobs]`, `oracle[:knobs]`; knobs
-  /// epoch, interval, seed, eps, ucb, ema). Splitting and value
-  /// validation ride on PrefetcherSpec::parse, so the arsenal's knob
-  /// hardening (no signs, 32-bit range, no duplicates) applies here too.
-  /// On failure returns false and sets \p Error.
+  /// Parses \p Spec (`static`, `bandit[:knobs]`, `oracle[:knobs]`) in the
+  /// one knob grammar against knobTable(policy). On failure returns false
+  /// and sets \p Error.
   static bool parse(const std::string &Spec, SelectorConfig &Out,
                     std::string *Error);
+
+  /// The knobs policy \p P accepts: bandit epoch, interval, seed, eps,
+  /// ucb, ema; oracle epoch, interval; static none.
+  static KnobTable knobTable(SelectorPolicy P);
 
   /// Display name for configs/figures: "static", "bandit", "bandit-ucb",
   /// "oracle".

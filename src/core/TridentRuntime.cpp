@@ -569,9 +569,6 @@ int TridentRuntime::maxDistanceFor(const TraceMeta &M) const {
 
 int TridentRuntime::estimateDistance(const TraceMeta &M,
                                      Addr TriggerPC) const {
-  // Experimentation hook (benches/tests): force the fixed-mode distance.
-  if (const char *F = std::getenv("TRIDENT_FORCE_DISTANCE"))
-    return std::clamp(std::atoi(F), 1, Config.DistanceCap);
   // Equation 2: distance = avg load miss latency / cycles per iteration
   // (the basic, non-adaptive estimator). We divide by the watch table's
   // *minimal* execution time — the quantity the hardware actually tracks —

@@ -6,6 +6,7 @@
 
 #include "faults/FaultPlan.h"
 #include "support/Check.h"
+#include "support/Knobs.h"
 #include "support/Random.h"
 
 #include <cctype>
@@ -194,22 +195,19 @@ private:
 
   bool parseU64(uint64_t &Out) {
     skipWs();
-    if (Pos >= S.size() ||
-        !std::isdigit(static_cast<unsigned char>(S[Pos]))) {
+    size_t End = Pos;
+    while (End < S.size() && std::isdigit(static_cast<unsigned char>(S[End])))
+      ++End;
+    if (End == Pos) {
       fail("expected an unsigned number at offset " + std::to_string(Pos));
       return false;
     }
-    Out = 0;
-    while (Pos < S.size() &&
-           std::isdigit(static_cast<unsigned char>(S[Pos]))) {
-      uint64_t Digit = static_cast<uint64_t>(S[Pos] - '0');
-      if (Out > (~static_cast<uint64_t>(0) - Digit) / 10) {
-        fail("number overflows 64 bits at offset " + std::to_string(Pos));
-        return false;
-      }
-      Out = Out * 10 + Digit;
-      ++Pos;
+    if (!parseDecimal(std::string_view(S).substr(Pos, End - Pos), 0,
+                      UINT64_MAX, Out)) {
+      fail("number overflows 64 bits at offset " + std::to_string(Pos));
+      return false;
     }
+    Pos = End;
     return true;
   }
 

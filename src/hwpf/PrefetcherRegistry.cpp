@@ -12,225 +12,108 @@
 #include "hwpf/Tskid.h"
 #include "support/Check.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <limits>
-
 using namespace trident;
-
-bool PrefetcherSpec::parse(const std::string &Spec, PrefetcherSpec &Out,
-                           std::string *Error) {
-  Out.Name.clear();
-  Out.Knobs.clear();
-  size_t Colon = Spec.find(':');
-  Out.Name = Spec.substr(0, Colon);
-  if (Out.Name.empty()) {
-    if (Error)
-      *Error = "empty prefetcher name in spec '" + Spec + "'";
-    return false;
-  }
-  if (Colon == std::string::npos)
-    return true;
-  std::string Rest = Spec.substr(Colon + 1);
-  size_t Pos = 0;
-  while (Pos < Rest.size()) {
-    size_t Comma = Rest.find(',', Pos);
-    std::string Pair = Rest.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    size_t Eq = Pair.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 >= Pair.size()) {
-      if (Error)
-        *Error = "malformed knob '" + Pair + "' in spec '" + Spec +
-                 "' (want knob=value)";
-      return false;
-    }
-    std::string Key = Pair.substr(0, Eq);
-    std::string Val = Pair.substr(Eq + 1);
-    // Signs are rejected up front: strtoull silently *accepts* "-1" and
-    // wraps it to 2^64-1, which would then truncate to a huge unsigned in
-    // every factory. Knobs are unsigned quantities; make that explicit.
-    if (Val[0] == '-' || Val[0] == '+') {
-      if (Error)
-        *Error = "knob '" + Key + "' has signed value '" + Val +
-                 "' in spec '" + Spec + "' (knobs are unsigned)";
-      return false;
-    }
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long V = std::strtoull(Val.c_str(), &End, 0);
-    if (End == Val.c_str() || *End != '\0') {
-      if (Error)
-        *Error = "knob '" + Key + "' has non-integer value '" + Val +
-                 "' in spec '" + Spec + "'";
-      return false;
-    }
-    // Every consumer narrows knobs to unsigned (32-bit); values past that
-    // would truncate silently, so the parser owns the range check.
-    if (errno == ERANGE || V > std::numeric_limits<unsigned>::max()) {
-      if (Error)
-        *Error = "knob '" + Key + "' value '" + Val + "' in spec '" + Spec +
-                 "' is out of range (max " +
-                 std::to_string(std::numeric_limits<unsigned>::max()) + ")";
-      return false;
-    }
-    // Duplicate knobs would alias two different-looking specs to one
-    // config (knobOr is first-wins), corrupting campaign fingerprints.
-    for (const auto &K : Out.Knobs) {
-      if (K.first == Key) {
-        if (Error)
-          *Error = "duplicate knob '" + Key + "' in spec '" + Spec + "'";
-        return false;
-      }
-    }
-    Out.Knobs.emplace_back(Key, static_cast<uint64_t>(V));
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-  return true;
-}
-
-uint64_t PrefetcherSpec::knobOr(const std::string &Knob,
-                                uint64_t Default) const {
-  for (const auto &K : Knobs)
-    if (K.first == Knob)
-      return K.second;
-  return Default;
-}
-
-bool PrefetcherSpec::checkKnobs(std::initializer_list<const char *> Allowed,
-                                std::string *Error) const {
-  for (const auto &K : Knobs) {
-    bool Ok = false;
-    for (const char *A : Allowed)
-      Ok |= K.first == A;
-    if (!Ok) {
-      if (Error) {
-        std::string List;
-        for (const char *A : Allowed) {
-          if (!List.empty())
-            List += ", ";
-          List += A;
-        }
-        *Error = "unknown knob '" + K.first + "' for prefetcher '" + Name +
-                 "' (knobs: " + (List.empty() ? "none" : List) + ")";
-      }
-      return false;
-    }
-  }
-  return true;
-}
 
 namespace {
 
-/// Shared factory body for the stream-buffer entries; \p Buffers/\p Depth
-/// are the entry's defaults, overridable via knobs.
-std::unique_ptr<HwPrefetcher>
-makeStreamBuffers(const PrefetcherSpec &Spec, const PrefetcherEnv &Env,
-                  unsigned Buffers, unsigned Depth, std::string *Error) {
-  if (!Spec.checkKnobs({"buffers", "depth", "history"}, Error))
+// Knob tables. Each lower bound is the unit constructor's precondition;
+// each upper bound keeps the unit's tables to a few MB and its per-miss
+// work short (hwpf_test runs every bound on mcf).
+
+constexpr Knob kStreamBufferKnobs[] = {
+    knob<&StreamBufferConfig::NumBuffers>("buffers", 1, 256),
+    knob<&StreamBufferConfig::Depth>("depth", 0, 256),
+    knob<&StreamBufferConfig::HistoryEntries>("history", 1, 65536),
+};
+
+constexpr Knob kEnhancedStreamKnobs[] = {
+    knob<&EnhancedStreamConfig::NumTrainingEntries>("trainers", 1, 1024),
+    knob<&EnhancedStreamConfig::NumStreams>("streams", 1, 256),
+    knob<&EnhancedStreamConfig::Degree>("degree", 1, 64),
+    knob<&EnhancedStreamConfig::Depth>("depth", 0, 256),
+    knob<&EnhancedStreamConfig::RegionLines>("region", 1, 65536),
+    knob<&EnhancedStreamConfig::ConfirmMisses>("confirm", 0, 1024),
+};
+
+constexpr Knob kDcptKnobs[] = {
+    knob<&DcptConfig::NumEntries>("entries", 1, 4096),
+    knob<&DcptConfig::NumDeltas>("deltas", 2, 64),
+    knob<&DcptConfig::Degree>("degree", 1, 64),
+    knob<&DcptConfig::BufferCapacity>("buffer", 0, 1024),
+};
+
+constexpr Knob kTskidKnobs[] = {
+    knob<&TskidConfig::NumEntries>("entries", 1, 4096),
+    knob<&TskidConfig::RecentMissDepth>("recent", 1, 256),
+    knob<&TskidConfig::PendingDepth>("pending", 1, 1024),
+    knob<&TskidConfig::BufferCapacity>("buffer", 0, 1024),
+    knob<&TskidConfig::LeadCycles>("lead", 0, 1'000'000),
+    knob<&TskidConfig::MinSkidCycles>("minskid", 0, 1'000'000),
+};
+
+/// An entry whose factory sets the spec's knobs on \p Defaults through
+/// \p Schema and hands the typed config to \p Build.
+template <class Config>
+PrefetcherRegistry::Info
+entry(std::string Name, std::string Summary, KnobTable Schema,
+      Config Defaults,
+      std::unique_ptr<HwPrefetcher> (*Build)(Config, const PrefetcherEnv &,
+                                             std::string *)) {
+  return {std::move(Name), std::move(Summary), Schema,
+          [=](std::string_view Spec, const PrefetcherEnv &Env,
+              std::string *Error) -> std::unique_ptr<HwPrefetcher> {
+            Config C = Defaults;
+            if (!parseKnobs(Spec, Schema, &C, Error))
+              return nullptr;
+            return Build(C, Env, Error);
+          }};
+}
+
+template <class Unit, class Config>
+std::unique_ptr<HwPrefetcher> build(Config C, const PrefetcherEnv &,
+                                    std::string *) {
+  return std::make_unique<Unit>(C);
+}
+
+std::unique_ptr<HwPrefetcher> buildStreamBuffers(StreamBufferConfig C,
+                                                 const PrefetcherEnv &Env,
+                                                 std::string *Error) {
+  if (!StridePredictor::isValidSize(C.HistoryEntries)) {
+    if (Error)
+      *Error = "knob 'history' must be a power of two, got " +
+               std::to_string(C.HistoryEntries);
     return nullptr;
-  StreamBufferConfig Cfg;
-  Cfg.NumBuffers = static_cast<unsigned>(Spec.knobOr("buffers", Buffers));
-  Cfg.Depth = static_cast<unsigned>(Spec.knobOr("depth", Depth));
-  Cfg.HistoryEntries =
-      static_cast<unsigned>(Spec.knobOr("history", Cfg.HistoryEntries));
-  if (Env.PageBounded) {
-    Cfg.StopAtPageBoundary = true;
-    Cfg.PageBits = Env.PageBits;
   }
-  return std::make_unique<StreamBufferUnit>(Cfg);
+  if (Env.PageBounded) {
+    C.StopAtPageBoundary = true;
+    C.PageBits = Env.PageBits;
+  }
+  return std::make_unique<StreamBufferUnit>(C);
 }
 
 } // namespace
 
 PrefetcherRegistry::PrefetcherRegistry() {
-  add({"sb4x4", "predictor-directed stream buffers, 4 buffers x 4 deep",
-       "buffers, depth, history", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &E, std::string *Err) {
-         return makeStreamBuffers(S, E, 4, 4, Err);
-       }});
-  add({"sb8x8",
-       "predictor-directed stream buffers, 8 buffers x 8 deep (the paper's "
-       "baseline)",
-       "buffers, depth, history", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &E, std::string *Err) {
-         return makeStreamBuffers(S, E, 8, 8, Err);
-       }});
-  add({"stream",
-       "parameterized stream buffers (alias of sb8x8 defaults; set "
-       "buffers/depth)",
-       "buffers, depth, history", /*InArsenal=*/false,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &E, std::string *Err) {
-         return makeStreamBuffers(S, E, 8, 8, Err);
-       }});
-  add({"enhanced-stream",
-       "region-based streams with noise-tolerant training and dead-stream "
-       "removal (Liu et al., JILP 2011)",
-       "trainers, streams, degree, depth, region, confirm", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &,
-          std::string *Err) -> std::unique_ptr<HwPrefetcher> {
-         if (!S.checkKnobs(
-                 {"trainers", "streams", "degree", "depth", "region",
-                  "confirm"},
-                 Err))
-           return nullptr;
-         EnhancedStreamConfig Cfg = EnhancedStreamConfig::baseline();
-         Cfg.NumTrainingEntries =
-             static_cast<unsigned>(S.knobOr("trainers", Cfg.NumTrainingEntries));
-         Cfg.NumStreams =
-             static_cast<unsigned>(S.knobOr("streams", Cfg.NumStreams));
-         Cfg.Degree = static_cast<unsigned>(S.knobOr("degree", Cfg.Degree));
-         Cfg.Depth = static_cast<unsigned>(S.knobOr("depth", Cfg.Depth));
-         Cfg.RegionLines =
-             static_cast<unsigned>(S.knobOr("region", Cfg.RegionLines));
-         Cfg.ConfirmMisses =
-             static_cast<unsigned>(S.knobOr("confirm", Cfg.ConfirmMisses));
-         return std::make_unique<EnhancedStreamPrefetcher>(Cfg);
-       }});
-  add({"dcpt",
-       "delta-correlating prediction tables (Grannaes et al., DPC-1)",
-       "entries, deltas, degree, buffer", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &,
-          std::string *Err) -> std::unique_ptr<HwPrefetcher> {
-         if (!S.checkKnobs({"entries", "deltas", "degree", "buffer"}, Err))
-           return nullptr;
-         DcptConfig Cfg = DcptConfig::baseline();
-         Cfg.NumEntries =
-             static_cast<unsigned>(S.knobOr("entries", Cfg.NumEntries));
-         Cfg.NumDeltas =
-             static_cast<unsigned>(S.knobOr("deltas", Cfg.NumDeltas));
-         Cfg.Degree = static_cast<unsigned>(S.knobOr("degree", Cfg.Degree));
-         Cfg.BufferCapacity =
-             static_cast<unsigned>(S.knobOr("buffer", Cfg.BufferCapacity));
-         return std::make_unique<DcptPrefetcher>(Cfg);
-       }});
-  add({"tskid",
-       "trigger/target timing prefetcher with learned issue skid "
-       "(T-SKID, DPC-3)",
-       "entries, recent, pending, buffer, lead, minskid", true,
-       [](const PrefetcherSpec &S, const PrefetcherEnv &,
-          std::string *Err) -> std::unique_ptr<HwPrefetcher> {
-         if (!S.checkKnobs(
-                 {"entries", "recent", "pending", "buffer", "lead",
-                  "minskid"},
-                 Err))
-           return nullptr;
-         TskidConfig Cfg = TskidConfig::baseline();
-         Cfg.NumEntries =
-             static_cast<unsigned>(S.knobOr("entries", Cfg.NumEntries));
-         Cfg.RecentMissDepth =
-             static_cast<unsigned>(S.knobOr("recent", Cfg.RecentMissDepth));
-         Cfg.PendingDepth =
-             static_cast<unsigned>(S.knobOr("pending", Cfg.PendingDepth));
-         Cfg.BufferCapacity =
-             static_cast<unsigned>(S.knobOr("buffer", Cfg.BufferCapacity));
-         Cfg.LeadCycles =
-             static_cast<unsigned>(S.knobOr("lead", Cfg.LeadCycles));
-         Cfg.MinSkidCycles =
-             static_cast<unsigned>(S.knobOr("minskid", Cfg.MinSkidCycles));
-         return std::make_unique<TskidPrefetcher>(Cfg);
-       }});
+  add(entry("sb4x4", "predictor-directed stream buffers, 4 buffers x 4 deep",
+            kStreamBufferKnobs, StreamBufferConfig::config4x4(),
+            buildStreamBuffers));
+  add(entry("sb8x8",
+            "predictor-directed stream buffers, 8 buffers x 8 deep (the "
+            "paper's baseline)",
+            kStreamBufferKnobs, StreamBufferConfig::config8x8(),
+            buildStreamBuffers));
+  add(entry("enhanced-stream",
+            "region-based streams with noise-tolerant training and "
+            "dead-stream removal (Liu et al., JILP 2011)",
+            kEnhancedStreamKnobs, EnhancedStreamConfig::baseline(),
+            build<EnhancedStreamPrefetcher>));
+  add(entry("dcpt",
+            "delta-correlating prediction tables (Grannaes et al., DPC-1)",
+            kDcptKnobs, DcptConfig::baseline(), build<DcptPrefetcher>));
+  add(entry("tskid",
+            "trigger/target timing prefetcher with learned issue skid "
+            "(T-SKID, DPC-3)",
+            kTskidKnobs, TskidConfig::baseline(), build<TskidPrefetcher>));
 }
 
 PrefetcherRegistry &PrefetcherRegistry::instance() {
@@ -259,14 +142,6 @@ std::vector<std::string> PrefetcherRegistry::names() const {
   return Out; // std::map iterates sorted
 }
 
-std::vector<std::string> PrefetcherRegistry::arsenalNames() const {
-  std::vector<std::string> Out;
-  for (const auto &E : Entries)
-    if (E.second.InArsenal)
-      Out.push_back(E.first);
-  return Out;
-}
-
 const PrefetcherRegistry::Info *
 PrefetcherRegistry::lookup(const std::string &Name) const {
   auto It = Entries.find(Name);
@@ -278,18 +153,16 @@ PrefetcherRegistry::create(const std::string &Spec, const PrefetcherEnv &Env,
                            std::string *Error) const {
   if (isNone(Spec))
     return nullptr;
-  PrefetcherSpec S;
-  if (!PrefetcherSpec::parse(Spec, S, Error))
-    return nullptr;
-  const Info *I = lookup(S.Name);
+  const std::string Name = Spec.substr(0, Spec.find(':'));
+  const Info *I = lookup(Name);
   if (!I) {
     if (Error) {
-      *Error = "unknown prefetcher '" + S.Name + "' (registered:";
+      *Error = "unknown prefetcher '" + Name + "' (registered:";
       for (const auto &E : Entries)
         *Error += " " + E.first;
       *Error += ", none)";
     }
     return nullptr;
   }
-  return I->Make(S, Env, Error);
+  return I->Make(Spec, Env, Error);
 }

@@ -6,15 +6,18 @@
 ///
 /// \file
 /// The arsenal registry: every hardware prefetcher the simulator ships is
-/// registered here by name with a factory and a knob parser, so the sim
+/// registered here by name with a knob table and a factory, so the sim
 /// layer, the CLI (`trident_sim --hwpf <spec>`), and the benches resolve
 /// prefetchers from one string instead of hardcoding types. A spec is
 ///
 ///     name                      e.g.  "sb8x8", "dcpt", "none"
 ///     name:knob=value,...       e.g.  "dcpt:entries=64,degree=2"
 ///
-/// with integer-valued knobs. "none" (or an empty spec) means no
-/// prefetcher and resolves to a null unit, successfully. Built-in entries
+/// in the one knob grammar (support/Knobs.h); each knob's range is the
+/// unit constructor's precondition below and a tested bound above, so no
+/// accepted spec can abort, exhaust memory or hang a run. "none" (or an
+/// empty spec) means no prefetcher and resolves to a null unit,
+/// successfully. Built-in entries
 /// are registered lazily inside instance(), so there is no static-init
 /// ordering to get wrong; phase-aware selectors (ROADMAP) can add their
 /// own entries at startup via add().
@@ -25,13 +28,13 @@
 #define TRIDENT_HWPF_PREFETCHERREGISTRY_H
 
 #include "mem/MemorySystem.h"
+#include "support/Knobs.h"
 
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace trident {
@@ -44,38 +47,19 @@ struct PrefetcherEnv {
   unsigned PageBits = 12;
 };
 
-/// A parsed `name[:knob=value,...]` spec.
-struct PrefetcherSpec {
-  std::string Name;
-  std::vector<std::pair<std::string, uint64_t>> Knobs;
-
-  /// Parses \p Spec; on failure returns false and sets \p Error.
-  static bool parse(const std::string &Spec, PrefetcherSpec &Out,
-                    std::string *Error);
-
-  /// Value of \p Knob when given, else \p Default.
-  uint64_t knobOr(const std::string &Knob, uint64_t Default) const;
-
-  /// Verifies every provided knob is one of \p Allowed (comma-separated);
-  /// on failure returns false and sets \p Error.
-  bool checkKnobs(std::initializer_list<const char *> Allowed,
-                  std::string *Error) const;
-};
-
 class PrefetcherRegistry {
 public:
+  /// Builds a unit from a full spec ("name[:k=v,...]"); on a bad knob
+  /// returns nullptr and sets \p Error.
   using Factory = std::function<std::unique_ptr<HwPrefetcher>(
-      const PrefetcherSpec &, const PrefetcherEnv &, std::string *Error)>;
+      std::string_view Spec, const PrefetcherEnv &, std::string *Error)>;
 
   struct Info {
     std::string Name;
     /// One-line description for --hwpf list.
     std::string Summary;
-    /// Human-readable knob list, e.g. "entries, deltas, degree".
-    std::string Knobs;
-    /// Include in arsenal sweeps (fig9 matrix). Parameterized aliases of
-    /// another entry opt out so the matrix has no duplicate rows.
-    bool InArsenal = true;
+    /// The knobs a spec may set, with their ranges.
+    KnobTable Schema;
     Factory Make;
   };
 
@@ -87,10 +71,9 @@ public:
   /// on registration order.
   void add(Info I);
 
-  /// Registered names, sorted.
+  /// Registered names, sorted: the arsenal. The fig9 matrix sweeps it and
+  /// the bandit's arm indices index it, so its order is load-bearing.
   std::vector<std::string> names() const;
-  /// Names with InArsenal set, sorted — the fig9 sweep set.
-  std::vector<std::string> arsenalNames() const;
   const Info *lookup(const std::string &Name) const;
 
   /// Resolves \p Spec to a unit. "none"/"" yields nullptr with no error;

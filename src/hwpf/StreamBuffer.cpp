@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "hwpf/StreamBuffer.h"
+#include "support/Check.h"
 #include "support/StatRegistry.h"
 
 #include <cstdio>
@@ -22,6 +23,7 @@ void StreamBufferStats::registerInto(StatRegistry &R,
 
 StreamBufferUnit::StreamBufferUnit(const StreamBufferConfig &Cfg)
     : Config(Cfg), Predictor(Config.HistoryEntries) {
+  TRIDENT_CHECK(Config.NumBuffers > 0, "stream-buffer unit needs a buffer");
   Buffers.resize(Config.NumBuffers);
   for (Buffer &B : Buffers)
     B.Ring.resize(Config.Depth);

@@ -7,13 +7,10 @@
 #include "hwpf/StridePredictor.h"
 #include "support/Check.h"
 
-
 using namespace trident;
 
-static bool isPowerOfTwo(uint64_t X) { return X && (X & (X - 1)) == 0; }
-
 StridePredictor::StridePredictor(unsigned NumEntries) {
-  TRIDENT_CHECK(isPowerOfTwo(NumEntries), "table size must be a power of two");
+  TRIDENT_CHECK(isValidSize(NumEntries), "table size must be a power of two");
   Table.resize(NumEntries);
 }
 

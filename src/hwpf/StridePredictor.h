@@ -29,6 +29,12 @@ class StridePredictor {
 public:
   explicit StridePredictor(unsigned NumEntries = 1024);
 
+  /// The size the constructor requires: a power of two (the table is
+  /// indexed by the low PC bits). Front ends check this before building.
+  static bool isValidSize(unsigned NumEntries) {
+    return NumEntries && (NumEntries & (NumEntries - 1)) == 0;
+  }
+
   /// Records an observed access by the load at \p PC to \p ByteAddr.
   void train(Addr PC, Addr ByteAddr);
 

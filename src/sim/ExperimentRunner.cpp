@@ -6,8 +6,8 @@
 
 #include "sim/ExperimentRunner.h"
 #include "support/Check.h"
+#include "support/Knobs.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <unordered_map>
 
@@ -191,7 +191,7 @@ SimConfig trident::resolveSelectorOracle(ExperimentRunner &R,
   // (selector off — these are exactly the static cells a sweep like fig10
   // also runs, so the memo cache makes this pass nearly free there).
   const std::vector<std::string> Arms =
-      PrefetcherRegistry::instance().arsenalNames();
+      PrefetcherRegistry::instance().names();
   std::vector<ExperimentJob> Jobs;
   Jobs.reserve(Arms.size());
   for (const std::string &Arm : Arms) {
@@ -262,9 +262,8 @@ size_t ExperimentRunner::resultCacheSize() {
 //===----------------------------------------------------------------------===//
 
 unsigned ExperimentRunner::defaultThreadCount() {
-  if (const char *E = std::getenv("TRIDENT_BENCH_JOBS"))
-    if (unsigned V = static_cast<unsigned>(std::strtoul(E, nullptr, 10)))
-      return V;
+  if (uint64_t V = envDecimal("TRIDENT_BENCH_JOBS", 0, 0, 1024))
+    return static_cast<unsigned>(V);
   unsigned HW = std::thread::hardware_concurrency();
   return HW == 0 ? 1 : HW;
 }

@@ -129,7 +129,8 @@ public:
   unsigned threadCount() const { return NumThreads; }
 
   /// The pool size an options-default runner would use: $TRIDENT_BENCH_JOBS
-  /// if set and nonzero, else hardware_concurrency(), min 1.
+  /// if set and nonzero, else hardware_concurrency(), min 1. A malformed
+  /// or out-of-range (> 1024) value prints one line and exits 2.
   static unsigned defaultThreadCount();
 
   // Process-wide memo cache management (shared by all runners). ----------

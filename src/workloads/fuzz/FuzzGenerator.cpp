@@ -11,7 +11,6 @@
 #include "support/Random.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 using namespace trident;
@@ -24,58 +23,17 @@ namespace {
 
 constexpr char kFuzzPrefix[] = "fuzz@";
 
-/// Knob metadata: name, range, and accessor — one row per FuzzKnobs field,
-/// shared by the parser (validation) and the name builder (canonical
-/// order), so the two can never disagree about what a knob is called.
-struct KnobInfo {
-  const char *Name;
-  uint64_t Min;
-  uint64_t Max;
-  uint64_t (*Get)(const FuzzKnobs &);
-  void (*Set)(FuzzKnobs &, uint64_t);
+/// One row per FuzzKnobs field, shared by the parser (validation), the
+/// name builder (canonical order) and the seed salt, so the three can
+/// never disagree about what a knob is called.
+constexpr Knob kKnobs[] = {
+    knob<&FuzzKnobs::WsetKB>("wset", 64, 131072),
+    knob<&FuzzKnobs::Segments>("segs", 1, 8),
+    knob<&FuzzKnobs::EntropyPermille>("entropy", 0, 1000),
+    knob<&FuzzKnobs::BranchPermille>("branch", 0, 1000),
+    knob<&FuzzKnobs::PhaseIters>("phase", 64, 1'000'000),
+    knob<&FuzzKnobs::Streams>("streams", 1, 10),
 };
-
-constexpr KnobInfo kKnobs[] = {
-    {"wset", 64, 131072, [](const FuzzKnobs &K) { return K.WsetKB; },
-     [](FuzzKnobs &K, uint64_t V) { K.WsetKB = V; }},
-    {"segs", 1, 8,
-     [](const FuzzKnobs &K) { return uint64_t(K.Segments); },
-     [](FuzzKnobs &K, uint64_t V) { K.Segments = unsigned(V); }},
-    {"entropy", 0, 1000,
-     [](const FuzzKnobs &K) { return uint64_t(K.EntropyPermille); },
-     [](FuzzKnobs &K, uint64_t V) { K.EntropyPermille = unsigned(V); }},
-    {"branch", 0, 1000,
-     [](const FuzzKnobs &K) { return uint64_t(K.BranchPermille); },
-     [](FuzzKnobs &K, uint64_t V) { K.BranchPermille = unsigned(V); }},
-    {"phase", 64, 1'000'000,
-     [](const FuzzKnobs &K) { return K.PhaseIters; },
-     [](FuzzKnobs &K, uint64_t V) { K.PhaseIters = V; }},
-    {"streams", 1, 10,
-     [](const FuzzKnobs &K) { return uint64_t(K.Streams); },
-     [](FuzzKnobs &K, uint64_t V) { K.Streams = unsigned(V); }},
-};
-constexpr size_t kNumKnobs = sizeof(kKnobs) / sizeof(kKnobs[0]);
-
-bool parseUint(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S.size() > 20)
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Next = V * 10 + uint64_t(C - '0');
-    if (Next < V) // overflow
-      return false;
-    V = Next;
-  }
-  Out = V;
-  return true;
-}
-
-void setError(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
-}
 
 //===----------------------------------------------------------------------===//
 // Segment planning
@@ -382,84 +340,28 @@ bool trident::isFuzzSpec(const std::string &Name) {
   return Name.rfind(kFuzzPrefix, 0) == 0;
 }
 
+KnobTable trident::fuzzKnobTable() { return kKnobs; }
+
 bool trident::parseFuzzSpec(const std::string &Spec, uint64_t &Seed,
                             FuzzKnobs &Knobs, std::string *Error) {
-  std::string Body = Spec;
-  if (isFuzzSpec(Body))
-    Body = Body.substr(std::strlen(kFuzzPrefix));
-  const size_t Colon = Body.find(':');
-  const std::string SeedStr = Body.substr(0, Colon);
-  if (!parseUint(SeedStr, Seed)) {
-    setError(Error, "seed '" + SeedStr + "' is not a decimal uint64");
+  std::string_view Body = Spec;
+  if (isFuzzSpec(Spec))
+    Body.remove_prefix(std::strlen(kFuzzPrefix));
+  const std::string_view SeedStr = Body.substr(0, Body.find(':'));
+  if (!parseDecimal(SeedStr, 0, UINT64_MAX, Seed)) {
+    if (Error)
+      *Error = decimalError("seed", SeedStr, 0, UINT64_MAX);
     return false;
   }
   Knobs = FuzzKnobs();
-  if (Colon == std::string::npos)
-    return true;
-
-  bool Seen[kNumKnobs] = {};
-  std::string Rest = Body.substr(Colon + 1);
-  size_t Pos = 0;
-  while (Pos <= Rest.size()) {
-    size_t Comma = Rest.find(',', Pos);
-    std::string Item = Rest.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    Pos = Comma == std::string::npos ? Rest.size() + 1 : Comma + 1;
-    const size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0) {
-      setError(Error, "knob '" + Item + "' is not name=value");
-      return false;
-    }
-    const std::string Key = Item.substr(0, Eq);
-    uint64_t Value = 0;
-    if (!parseUint(Item.substr(Eq + 1), Value)) {
-      setError(Error, "knob '" + Key + "' value '" + Item.substr(Eq + 1) +
-                          "' is not a decimal integer");
-      return false;
-    }
-    size_t K = 0;
-    for (; K < kNumKnobs; ++K)
-      if (Key == kKnobs[K].Name)
-        break;
-    if (K == kNumKnobs) {
-      setError(Error, "unknown knob '" + Key +
-                          "' (have wset, segs, entropy, branch, phase, "
-                          "streams)");
-      return false;
-    }
-    if (Seen[K]) {
-      setError(Error, "duplicate knob '" + Key + "'");
-      return false;
-    }
-    Seen[K] = true;
-    if (Value < kKnobs[K].Min || Value > kKnobs[K].Max) {
-      char Buf[128];
-      std::snprintf(Buf, sizeof(Buf), "knob '%s' value %llu out of range [%llu, %llu]",
-                    kKnobs[K].Name, (unsigned long long)Value,
-                    (unsigned long long)kKnobs[K].Min,
-                    (unsigned long long)kKnobs[K].Max);
-      setError(Error, Buf);
-      return false;
-    }
-    kKnobs[K].Set(Knobs, Value);
-  }
-  return true;
+  return parseKnobs(Body, kKnobs, &Knobs, Error);
 }
 
 std::string trident::fuzzWorkloadName(uint64_t Seed, const FuzzKnobs &Knobs) {
-  std::string Name = kFuzzPrefix + std::to_string(Seed);
   const FuzzKnobs Defaults;
-  char Sep = ':';
-  for (const KnobInfo &K : kKnobs) {
-    if (K.Get(Knobs) == K.Get(Defaults))
-      continue;
-    Name += Sep;
-    Sep = ',';
-    Name += K.Name;
-    Name += '=';
-    Name += std::to_string(K.Get(Knobs));
-  }
-  return Name;
+  const std::string Text = knobText(kKnobs, &Knobs, &Defaults);
+  return kFuzzPrefix + std::to_string(Seed) + (Text.empty() ? "" : ":") +
+         Text;
 }
 
 Workload trident::makeFuzzWorkload(uint64_t Seed, const FuzzKnobs &Knobs) {
@@ -469,9 +371,9 @@ Workload trident::makeFuzzWorkload(uint64_t Seed, const FuzzKnobs &Knobs) {
   SplitMix64 Salt(Seed);
   uint64_t State = Salt.next();
   const FuzzKnobs Defaults;
-  for (const KnobInfo &K : kKnobs)
-    if (K.Get(Knobs) != K.Get(Defaults))
-      State = (State ^ K.Get(Knobs)) * 0x100000001b3ull;
+  for (const Knob &K : kKnobs)
+    if (K.Get(&Knobs) != K.Get(&Defaults))
+      State = (State ^ K.Get(&Knobs)) * 0x100000001b3ull;
   SplitMix64 Rng(State);
 
   std::vector<SegPlan> Plans;

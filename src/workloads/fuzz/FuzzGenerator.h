@@ -24,7 +24,8 @@
 ///
 ///   SEED[:knob=value,...]
 ///
-/// with knobs (see FuzzKnobs for ranges and defaults):
+/// with knobs (see FuzzKnobs for ranges and defaults, fuzzKnobTable() for
+/// the table that enforces them):
 ///   wset     working-set size per phase segment, in KB
 ///   segs     number of phase segments (the phase-change schedule)
 ///   entropy  stride entropy, permille: probability a stream draws an
@@ -40,6 +41,7 @@
 #ifndef TRIDENT_WORKLOADS_FUZZ_FUZZGENERATOR_H
 #define TRIDENT_WORKLOADS_FUZZ_FUZZGENERATOR_H
 
+#include "support/Knobs.h"
 #include "workloads/Workloads.h"
 
 #include <cstdint>
@@ -71,13 +73,17 @@ struct FuzzKnobs {
   bool operator==(const FuzzKnobs &) const = default;
 };
 
+/// The knob table behind the spec grammar and the canonical name.
+KnobTable fuzzKnobTable();
+
 /// True when \p Name is a fuzz workload spec ("fuzz@..." prefix).
 bool isFuzzSpec(const std::string &Name);
 
-/// Parses \p Spec ("SEED[:knob=v,...]", without the "fuzz@" prefix).
-/// Rejects non-numeric seeds, unknown or duplicate knobs, and out-of-range
-/// values with a registry-style message in \p Error. \p Knobs starts from
-/// defaults; only listed knobs are overwritten.
+/// Parses \p Spec ("SEED[:knob=v,...]", with or without the "fuzz@"
+/// prefix) in the one knob grammar (support/Knobs.h) against
+/// fuzzKnobTable(); the seed is any decimal uint64. On failure returns
+/// false with a one-line \p Error. \p Knobs starts from defaults; only
+/// listed knobs are overwritten.
 bool parseFuzzSpec(const std::string &Spec, uint64_t &Seed, FuzzKnobs &Knobs,
                    std::string *Error);
 

@@ -130,9 +130,19 @@ TEST(SelectorConfig, RejectsBadSpecs) {
   EXPECT_FALSE(SelectorConfig::parse("bandit:eps=1001", C, &Err));
   EXPECT_FALSE(SelectorConfig::parse("bandit:ema=0", C, &Err));
 
-  // The arsenal's spec hardening applies here too.
+  // The one knob grammar applies here too.
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=-1", C, &Err));
   EXPECT_FALSE(SelectorConfig::parse("bandit:seed=1,seed=2", C, &Err));
+  EXPECT_FALSE(SelectorConfig::parse("bandit:ucb=2", C, &Err));
+  EXPECT_FALSE(SelectorConfig::parse("bandit:eps=0x3e8", C, &Err));
+  EXPECT_FALSE(SelectorConfig::parse("bandit:", C, &Err));
+  EXPECT_FALSE(SelectorConfig::parse("static:", C, &Err));
+
+  // The seed spans the full uint64_t, like the fuzz seed.
+  ASSERT_TRUE(SelectorConfig::parse("bandit:seed=18446744073709551615", C,
+                                    &Err))
+      << Err;
+  EXPECT_EQ(C.Seed, UINT64_MAX);
 }
 
 //===----------------------------------------------------------------------===//
@@ -178,7 +188,7 @@ TEST(Selector, BanditSwapsUnderRegimeShifts) {
   // exactly the decisions that changed arms.
   EXPECT_EQ(R.Selector.Epochs, R.SelectorTrace.size());
   uint64_t Changed = 0;
-  const auto Arms = PrefetcherRegistry::instance().arsenalNames();
+  const auto Arms = PrefetcherRegistry::instance().names();
   for (const SelectorDecisionRecord &D : R.SelectorTrace) {
     EXPECT_LT(D.ChosenArm, Arms.size());
     Changed += D.ChosenArm != D.PrevArm;
@@ -254,7 +264,7 @@ TEST(Selector, OracleResolvesToBestStaticAndNeverSwaps) {
   ExperimentRunner R(Opts);
   const Workload W = makeWorkload("mcf");
   SimConfig Resolved = resolveSelectorOracle(R, W, C);
-  const auto Arms = PrefetcherRegistry::instance().arsenalNames();
+  const auto Arms = PrefetcherRegistry::instance().names();
   ASSERT_NE(std::find(Arms.begin(), Arms.end(), Resolved.Selector.OracleUnit),
             Arms.end())
       << "'" << Resolved.Selector.OracleUnit << "' is not an arsenal unit";

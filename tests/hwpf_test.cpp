@@ -11,10 +11,15 @@
 #include "hwpf/StridePredictor.h"
 #include "hwpf/Tskid.h"
 #include "mem/MemorySystem.h"
+#include "sim/Simulation.h"
+#include "workloads/Workloads.h"
+#include "workloads/fuzz/FuzzGenerator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 
 using namespace trident;
 
@@ -384,23 +389,15 @@ TEST(Tskid, LearnsTriggerAssociations) {
 //===----------------------------------------------------------------------===//
 
 TEST(PrefetcherRegistry, ArsenalIsRegistered) {
-  std::vector<std::string> Names = PrefetcherRegistry::instance().names();
-  for (const char *N :
-       {"sb4x4", "sb8x8", "stream", "enhanced-stream", "dcpt", "tskid"})
-    EXPECT_NE(std::find(Names.begin(), Names.end(), N), Names.end())
-        << "missing registry entry: " << N;
-  // The fig9 sweep set excludes the parameterized "stream" alias (it
-  // would duplicate sb8x8's row) and includes the four real units.
-  std::vector<std::string> Arsenal =
-      PrefetcherRegistry::instance().arsenalNames();
-  EXPECT_EQ(std::find(Arsenal.begin(), Arsenal.end(), "stream"),
-            Arsenal.end());
-  EXPECT_GE(Arsenal.size(), 5u); // sb4x4, sb8x8, enhanced-stream, dcpt, tskid
+  // The list and its order are load-bearing: the fig9 matrix sweeps it
+  // and the bandit's arm indices index it.
+  EXPECT_EQ(PrefetcherRegistry::instance().names(),
+            (std::vector<std::string>{"dcpt", "enhanced-stream", "sb4x4",
+                                      "sb8x8", "tskid"}));
 }
 
 TEST(PrefetcherRegistry, CreateRoundTripsEveryArsenalName) {
-  for (const std::string &N :
-       PrefetcherRegistry::instance().arsenalNames()) {
+  for (const std::string &N : PrefetcherRegistry::instance().names()) {
     std::string Error;
     auto U = PrefetcherRegistry::instance().create(N, PrefetcherEnv{}, &Error);
     ASSERT_TRUE(U) << N << ": " << Error;
@@ -441,7 +438,7 @@ TEST(PrefetcherRegistry, KnobsReachTheUnit) {
   EXPECT_EQ(D->config().Degree, 2u);
   EXPECT_EQ(D->config().NumDeltas, 8u); // untouched knob keeps its default
 
-  auto S = PrefetcherRegistry::instance().create("stream:buffers=4,depth=4",
+  auto S = PrefetcherRegistry::instance().create("sb8x8:buffers=4,depth=4",
                                                  PrefetcherEnv{}, &Error);
   ASSERT_TRUE(S) << Error;
   auto *SB = dynamic_cast<StreamBufferUnit *>(S.get());
@@ -459,7 +456,10 @@ TEST(PrefetcherRegistry, BadKnobsAreRejected) {
   EXPECT_EQ(PrefetcherRegistry::instance().create("dcpt:entries=abc",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
-  EXPECT_NE(Error.find("non-integer"), std::string::npos);
+  EXPECT_NE(Error.find("knob 'entries' expects a decimal integer in [1, "
+                       "4096], got 'abc'"),
+            std::string::npos)
+      << Error;
   EXPECT_EQ(PrefetcherRegistry::instance().create("dcpt:entries",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
@@ -467,17 +467,22 @@ TEST(PrefetcherRegistry, BadKnobsAreRejected) {
 }
 
 TEST(PrefetcherRegistry, SignedKnobValuesAreRejected) {
-  // strtoull would happily wrap "-1" to 2^64-1 and the factory would then
-  // truncate it to a huge unsigned depth; the parser owns this rejection.
+  // A sign is outside the grammar, so "-1" can never wrap to 2^64-1.
   std::string Error;
   EXPECT_EQ(PrefetcherRegistry::instance().create("sb8x8:depth=-1",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
-  EXPECT_NE(Error.find("knobs are unsigned"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("knob 'depth' expects a decimal integer in [0, 256], "
+                       "got '-1'"),
+            std::string::npos)
+      << Error;
   EXPECT_EQ(PrefetcherRegistry::instance().create("dcpt:entries=+4",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
-  EXPECT_NE(Error.find("knobs are unsigned"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("knob 'entries' expects a decimal integer in [1, "
+                       "4096], got '+4'"),
+            std::string::npos)
+      << Error;
 }
 
 TEST(PrefetcherRegistry, OutOfRangeKnobValuesAreRejected) {
@@ -486,38 +491,80 @@ TEST(PrefetcherRegistry, OutOfRangeKnobValuesAreRejected) {
   EXPECT_EQ(PrefetcherRegistry::instance().create("sb8x8:depth=8589934592",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
-  EXPECT_NE(Error.find("out of range"), std::string::npos) << Error;
-  // Past 2^64: strtoull saturates and sets ERANGE.
+  EXPECT_NE(Error.find("knob 'depth' expects a decimal integer in [0, 256]"),
+            std::string::npos)
+      << Error;
+  // Past 2^64: the reader's overflow check rejects it.
   EXPECT_EQ(PrefetcherRegistry::instance().create(
                 "sb8x8:depth=99999999999999999999999", PrefetcherEnv{},
                 &Error),
             nullptr);
-  EXPECT_NE(Error.find("out of range"), std::string::npos) << Error;
-  // The boundary itself is fine.
-  PrefetcherSpec S;
-  EXPECT_TRUE(PrefetcherSpec::parse("sb8x8:depth=4294967295", S, &Error));
-  EXPECT_EQ(S.knobOr("depth", 0), 4294967295ull);
+  EXPECT_NE(Error.find("knob 'depth' expects a decimal integer in [0, 256]"),
+            std::string::npos)
+      << Error;
+  // The table's max is the boundary: it builds, one past it does not.
+  auto U = PrefetcherRegistry::instance().create("sb8x8:depth=256",
+                                                 PrefetcherEnv{}, &Error);
+  ASSERT_TRUE(U) << Error;
+  EXPECT_EQ(dynamic_cast<StreamBufferUnit &>(*U).config().Depth, 256u);
+  EXPECT_EQ(PrefetcherRegistry::instance().create("sb8x8:depth=257",
+                                                  PrefetcherEnv{}, &Error),
+            nullptr);
+}
+
+TEST(PrefetcherRegistry, OnlyPlainDecimalListsParse) {
+  // Hex and octal spellings, empty lists and trailing commas are outside
+  // the grammar; "010" is ten, not eight.
+  std::string Error;
+  for (const char *Bad :
+       {"dcpt:entries=0x10", "dcpt:", "dcpt:entries=64,", "dcpt:,entries=64",
+        "dcpt:entries=", "dcpt:entries= 64", "dcpt:=64"}) {
+    Error.clear();
+    EXPECT_EQ(PrefetcherRegistry::instance().create(Bad, PrefetcherEnv{},
+                                                    &Error),
+              nullptr)
+        << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+  }
+  auto U = PrefetcherRegistry::instance().create("dcpt:entries=010",
+                                                 PrefetcherEnv{}, &Error);
+  ASSERT_TRUE(U) << Error;
+  EXPECT_EQ(dynamic_cast<DcptPrefetcher &>(*U).config().NumEntries, 10u);
+}
+
+TEST(PrefetcherRegistry, StreamBufferHistoryMustBeAPowerOfTwo) {
+  EXPECT_TRUE(StridePredictor::isValidSize(1));
+  EXPECT_TRUE(StridePredictor::isValidSize(1024));
+  EXPECT_FALSE(StridePredictor::isValidSize(0));
+  EXPECT_FALSE(StridePredictor::isValidSize(1000));
+  std::string Error;
+  EXPECT_EQ(PrefetcherRegistry::instance().create("sb4x4:history=1000",
+                                                  PrefetcherEnv{}, &Error),
+            nullptr);
+  EXPECT_NE(Error.find("knob 'history' must be a power of two"),
+            std::string::npos)
+      << Error;
 }
 
 TEST(PrefetcherRegistry, DuplicateKnobsAreRejected) {
-  // knobOr is first-wins, so "depth=4,depth=16" used to silently mean
-  // depth=4 while fingerprinting as a distinct config.
+  // A repeat would make "depth=4,depth=16" mean one of the two while
+  // fingerprinting as a distinct config.
   std::string Error;
   EXPECT_EQ(PrefetcherRegistry::instance().create("sb8x8:depth=4,depth=16",
                                                   PrefetcherEnv{}, &Error),
             nullptr);
   EXPECT_NE(Error.find("duplicate knob 'depth'"), std::string::npos) << Error;
   // Distinct knobs still parse.
-  PrefetcherSpec S;
-  EXPECT_TRUE(
-      PrefetcherSpec::parse("stream:buffers=4,depth=4", S, &Error));
+  EXPECT_TRUE(PrefetcherRegistry::instance().create(
+      "sb8x8:buffers=4,depth=4", PrefetcherEnv{}, &Error))
+      << Error;
 }
 
 TEST(PrefetcherRegistryDeathTest, ReRegisteringANameAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   PrefetcherRegistry::Info I;
   I.Name = "sb8x8"; // collides with the built-in arsenal
-  I.Make = [](const PrefetcherSpec &, const PrefetcherEnv &,
+  I.Make = [](std::string_view, const PrefetcherEnv &,
               std::string *) -> std::unique_ptr<HwPrefetcher> {
     return nullptr;
   };
@@ -536,6 +583,93 @@ TEST(PrefetcherRegistry, PageBoundedEnvConfiguresStreamBuffers) {
   ASSERT_NE(SB, nullptr);
   EXPECT_TRUE(SB->config().StopAtPageBoundary);
   EXPECT_EQ(SB->config().PageBits, 13u);
+}
+
+//===----------------------------------------------------------------------===//
+// Knob tables: every bound is live
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Decimal text of \p V + 1, also for V = 2^64 - 1.
+std::string plusOne(uint64_t V) {
+  return V == UINT64_MAX ? "18446744073709551616" : std::to_string(V + 1);
+}
+
+/// Walks every row of \p Table under spec head \p Head: min and max parse,
+/// min-1 (when min > 0) and max+1 are rejected with an error naming the
+/// knob and its range.
+void expectEveryBoundHolds(
+    const std::string &Head, KnobTable Table,
+    const std::function<bool(const std::string &, std::string *)> &Parse) {
+  for (const Knob &K : Table) {
+    const std::string Prefix = Head + ":" + K.Name + "=";
+    const std::string Range = "[" + std::to_string(K.Min) + ", " +
+                              std::to_string(K.Max) + "]";
+    std::string Error;
+    EXPECT_TRUE(Parse(Prefix + std::to_string(K.Min), &Error)) << Error;
+    EXPECT_TRUE(Parse(Prefix + std::to_string(K.Max), &Error)) << Error;
+    std::vector<std::string> Outside = {plusOne(K.Max)};
+    if (K.Min > 0)
+      Outside.push_back(std::to_string(K.Min - 1));
+    for (const std::string &V : Outside) {
+      Error.clear();
+      EXPECT_FALSE(Parse(Prefix + V, &Error)) << Prefix + V;
+      EXPECT_NE(Error.find("knob '" + std::string(K.Name) + "'"),
+                std::string::npos)
+          << Prefix + V << ": " << Error;
+      EXPECT_NE(Error.find(Range), std::string::npos)
+          << Prefix + V << ": " << Error;
+    }
+  }
+}
+
+} // namespace
+
+TEST(KnobTables, EveryPrefetcherBoundBuildsAndRunsMcf) {
+  // Each min is the unit constructor's precondition and each max a bound
+  // on memory and per-miss work: both must build a unit that finishes a
+  // short run, so no accepted spec can abort, exhaust memory or hang.
+  const Workload Mcf = makeWorkload("mcf");
+  PrefetcherRegistry &R = PrefetcherRegistry::instance();
+  for (const std::string &Name : R.names()) {
+    const KnobTable Table = R.lookup(Name)->Schema;
+    ASSERT_FALSE(Table.empty()) << Name;
+    for (const Knob &K : Table)
+      for (uint64_t V : {K.Min, K.Max}) {
+        SimConfig C = SimConfig::hwBaseline();
+        C.HwPf = Name + ":" + K.Name + "=" + std::to_string(V);
+        C.SimInstructions = 20'000;
+        C.WarmupInstructions = 2'000;
+        std::string Error;
+        ASSERT_TRUE(R.create(C.HwPf, PrefetcherEnv{}, &Error))
+            << C.HwPf << ": " << Error;
+        EXPECT_GE(runSimulation(Mcf, C).Instructions, C.SimInstructions)
+            << C.HwPf;
+      }
+    expectEveryBoundHolds(Name, Table,
+                          [&](const std::string &Spec, std::string *Error) {
+                            return R.create(Spec, PrefetcherEnv{}, Error) !=
+                                   nullptr;
+                          });
+  }
+}
+
+TEST(KnobTables, EverySelectorAndFuzzBoundHolds) {
+  for (SelectorPolicy P : {SelectorPolicy::Bandit, SelectorPolicy::Oracle})
+    expectEveryBoundHolds(
+        selectorPolicyName(P), SelectorConfig::knobTable(P),
+        [](const std::string &Spec, std::string *Error) {
+          SelectorConfig C;
+          return SelectorConfig::parse(Spec, C, Error);
+        });
+  EXPECT_TRUE(SelectorConfig::knobTable(SelectorPolicy::Static).empty());
+  expectEveryBoundHolds("fuzz@7", fuzzKnobTable(),
+                        [](const std::string &Spec, std::string *Error) {
+                          uint64_t Seed;
+                          FuzzKnobs K;
+                          return parseFuzzSpec(Spec, Seed, K, Error);
+                        });
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bad-flag contract for the trident_sim CLI.
 
-Every malformed or out-of-range numeric flag must fail fast with exactly
-one stderr line and exit code 2 (never run, hang, or abort on an internal
+Every malformed or out-of-range numeric flag or knob spec must fail fast
+with exactly one stderr line and exit code 2 (never run, hang, or abort on an internal
 check), and a valid small run must still exit 0.
 
 Usage: trident_sim_flags_test.py PATH/TO/trident_sim
@@ -23,6 +23,16 @@ BAD = [
     ["--instr", "99999999999999999999999"],
     ["--mix-quantum", "0"],
     ["--miss-threshold", "300"],
+    # Knob specs share the one grammar: each of these used to abort,
+    # segfault, run out of memory, hang, or silently read hex.
+    ["--hwpf", "dcpt:entries=0"],
+    ["--hwpf", "sb8x8:buffers=0"],
+    ["--hwpf", "tskid:buffer=4294967295"],
+    ["--hwpf", "enhanced-stream:degree=4294967295"],
+    ["--hwpf", "dcpt:entries=0x10"],
+    ["--hwpf", "dcpt:entries=64,"],
+    ["--selector", "bandit:ucb=2"],
+    ["--selector", "bandit:eps=0x3e8"],
 ]
 
 VALID = ["--instr", "2000", "--warmup", "1000"]

@@ -56,6 +56,13 @@ Rule families (ids are stable; SARIF ruleIds match):
                            swallowed trailing comments)
     hot-path-alloc     R7  zero-alloc files do not heap-allocate
 
+  Input grammar
+    number-parse       G1  no strtoul/strtoull/strtol/strtoll/atoi/atol/
+                           std::sto* outside src/support/Knobs.cpp: decimal
+                           text becomes a number only through the one
+                           checked reader, so every flag, spec, env knob and
+                           fault plan shares one grammar
+
 Annotation grammar (in comments; `trident-lint:` is accepted as a legacy
 spelling of `trident-analyze:`):
 
@@ -97,7 +104,7 @@ from pathlib import Path
 
 ENGINE_VERSION = "1.0.0"
 # Bump to invalidate the incremental cache when rule logic changes.
-RULES_VERSION = "2026-08-07a"
+RULES_VERSION = "2026-10-17a"
 
 CPP_SUFFIXES = {".cpp", ".h", ".hpp", ".cc"}
 
@@ -466,6 +473,24 @@ def rule_wall_clock(fm: FileModel, ctx) -> list:
 def rule_randomness(fm: FileModel, ctx) -> list:
     findings = []
     _match_lines(fm, RANDOMNESS_PATTERNS, "randomness", findings)
+    return findings
+
+
+NUMBER_PARSE_PATTERNS = [
+    (re.compile(r"(?<![\w.>])(?:std::)?(strtoull?|strtoll?|atoi|atol)\s*\("),
+     "parses a number with a C library call; use parseDecimal or "
+     "decimalOrExit from support/Knobs.h"),
+    (re.compile(r"\bstd::sto(i|l|ll|ul|ull|f|d|ld)\s*\("),
+     "parses a number with std::sto*; use parseDecimal from "
+     "support/Knobs.h"),
+]
+NUMBER_PARSE_OWNER = "src/support/Knobs.cpp"
+
+
+def rule_number_parse(fm: FileModel, ctx) -> list:
+    findings = []
+    if fm.rel != NUMBER_PARSE_OWNER:
+        _match_lines(fm, NUMBER_PARSE_PATTERNS, "number-parse", findings)
     return findings
 
 
@@ -1101,6 +1126,9 @@ FILE_RULES = [
     ("lock-discipline", "C1",
      "guarded-by(Mu) fields only touched under their mutex",
      rule_lock_discipline, True),
+    ("number-parse", "G1",
+     "decimal text is read only by support/Knobs.cpp",
+     rule_number_parse, False),
 ]
 PROJECT_RULES = [
     ("layering", "L1", "module include DAG matches tools/layering.json",
@@ -1169,8 +1197,9 @@ def to_sarif(findings: list, root: Path) -> dict:
 
 def default_scope(root: Path):
     """(path, hw_rules) pairs: src/ gets every rule; bench/tools/examples
-    only the determinism rules R1/R2 (harness code may not add
-    nondeterminism either, but is not hardware modeling)."""
+    only the determinism rules R1/R2 and the input-grammar rule G1
+    (harness code may not add nondeterminism or its own number parser
+    either, but is not hardware modeling)."""
     files = []
     for sub, hw in (("src", True), ("bench", False), ("tools", False),
                     ("examples", False)):

@@ -18,6 +18,7 @@
 #include "dlt/DelinquentLoadTable.h"
 #include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
+#include "support/Knobs.h"
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 #include "workloads/fuzz/FuzzGenerator.h"
@@ -36,17 +37,18 @@ using namespace trident;
 namespace {
 
 void usage(const char *Prog) {
+  constexpr size_t Indent = 25, Width = 79;
   std::printf(
       "usage: %s [options]\n"
       "  --list                 list the 14 workloads and exit\n"
       "  --workload NAME        workload to run (required unless --list,\n"
       "                         --fuzz, or --mix); fuzz@SEED[:knobs] specs\n"
       "                         are accepted anywhere a name is\n"
-      "  --fuzz SPEC            run a generated workload: SEED[:knob=v,...]\n"
-      "                         with knobs wset (KB), segs, entropy (0-1000\n"
-      "                         permille), branch (permille), phase (iters),\n"
-      "                         streams; same seed+knobs => bit-identical\n"
-      "                         program and result\n"
+      "  --fuzz SPEC            run a generated workload: SEED[:knob=v,...];\n"
+      "                         same seed+knobs => bit-identical program and\n"
+      "                         result; wset is in KB, entropy and branch in\n"
+      "                         permille, phase in iterations:\n"
+      "                         %s\n"
       "  --mix W1+W2[+W3[+W4]]  multi-programmed mix: W1 is the measured\n"
       "                         primary (full Trident wiring), the rest are\n"
       "                         raw co-runners contending for the shared\n"
@@ -59,17 +61,20 @@ void usage(const char *Prog) {
       "                         'hw' disables Trident entirely)\n"
       "  --hwpf SPEC            hardware-prefetcher spec (default sb8x8);\n"
       "                         'none' disables, 'list' enumerates the\n"
-      "                         registered arsenal; knobs attach as\n"
-      "                         name:k=v,k=v (e.g. dcpt:entries=64)\n"
+      "                         registered arsenal and its knob ranges;\n"
+      "                         knobs attach as name:k=v,k=v (e.g.\n"
+      "                         dcpt:entries=64)\n"
       "  --hwpf-feedback N      publish hwpf accuracy/coverage feedback\n"
       "                         events every N commits and export the\n"
       "                         hwpf.feedback.* stats (default 0 = off)\n"
       "  --selector SPEC        phase-aware prefetcher selection (default\n"
       "                         static = off): bandit[:knobs] swaps arsenal\n"
-      "                         units at epoch boundaries (knobs epoch,\n"
-      "                         interval, seed, eps, ucb, ema),\n"
-      "                         oracle[:knobs] replays every static unit\n"
-      "                         first and pins the best\n"
+      "                         units at epoch boundaries; oracle[:knobs]\n"
+      "                         replays every static unit first and pins\n"
+      "                         the best. bandit knobs:\n"
+      "                         %s\n"
+      "                         oracle knobs:\n"
+      "                         %s\n"
       "  --instr N              committed instructions (default 2000000)\n"
       "  --warmup N             warmup instructions (default 100000)\n"
       "  --compare              also run the hw baseline and print speedup\n"
@@ -94,9 +99,15 @@ void usage(const char *Prog) {
       "                         DESIGN.md section 11 for the schema); the\n"
       "                         run stays deterministic for a fixed plan\n"
       "  --verbose              full statistics dump\n"
-      "numeric values are plain decimal integers; a malformed or\n"
+      "numeric values and knobs are plain decimal integers; a malformed or\n"
       "out-of-range value exits 2 with a one-line error\n",
-      Prog);
+      Prog, knobHelp(fuzzKnobTable(), Indent, Width).c_str(),
+      knobHelp(SelectorConfig::knobTable(SelectorPolicy::Bandit), Indent,
+               Width)
+          .c_str(),
+      knobHelp(SelectorConfig::knobTable(SelectorPolicy::Oracle), Indent,
+               Width)
+          .c_str());
 }
 
 const char *onOff(bool B) { return B ? "on" : "off"; }
@@ -106,27 +117,6 @@ const char *onOff(bool B) { return B ? "on" : "off"; }
 constexpr uint64_t kMaxCount = uint64_t(1) << 40;
 /// Upper bound for table and window sizes.
 constexpr uint64_t kMaxSize = uint64_t(1) << 20;
-
-/// The one parser for numeric flag values: decimal digits only (no sign,
-/// no blanks, no suffix), no overflow, and within [Min, Max]. Anything
-/// else prints a one-line error and exits 2.
-uint64_t parseNumber(const char *Flag, const char *Text, uint64_t Min,
-                     uint64_t Max) {
-  uint64_t V = 0;
-  bool Ok = *Text != '\0';
-  for (const char *P = Text; Ok && *P; ++P) {
-    unsigned Digit = static_cast<unsigned char>(*P) - unsigned('0');
-    Ok = Digit <= 9 && V <= (Max - Digit) / 10;
-    V = V * 10 + Digit;
-  }
-  if (!Ok || V < Min) {
-    std::fprintf(stderr, "error: %s expects an integer in [%llu, %llu], got "
-                         "'%s'\n",
-                 Flag, (unsigned long long)Min, (unsigned long long)Max, Text);
-    std::exit(2);
-  }
-  return V;
-}
 
 void printStats(const SimResult &R, bool Verbose) {
   std::printf("workload         %s\n", R.Workload.c_str());
@@ -275,7 +265,7 @@ int main(int argc, char **argv) {
   };
   auto numValue = [&](int &I, uint64_t Min, uint64_t Max) -> uint64_t {
     const char *Flag = argv[I];
-    return parseNumber(Flag, needValue(I), Min, Max);
+    return decimalOrExit(Flag, needValue(I), Min, Max);
   };
 
   for (int I = 1; I < argc; ++I) {
@@ -352,7 +342,7 @@ int main(int argc, char **argv) {
     for (const std::string &N : PrefetcherRegistry::instance().names()) {
       const PrefetcherRegistry::Info *Inf =
           PrefetcherRegistry::instance().lookup(N);
-      T.addRow({N, Inf->Knobs.empty() ? "-" : Inf->Knobs, Inf->Summary});
+      T.addRow({N, knobHelp(Inf->Schema), Inf->Summary});
     }
     std::printf("%s", T.render().c_str());
     return 0;
