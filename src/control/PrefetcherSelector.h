@@ -86,6 +86,8 @@ struct SelectorConfig {
   /// Display name for configs/figures: "static", "bandit", "bandit-ucb",
   /// "oracle".
   std::string shortName() const;
+
+  auto operator<=>(const SelectorConfig &) const = default;
 };
 
 /// What one epoch looked like, computed by the PhaseMonitor from the

@@ -69,9 +69,9 @@ struct RuntimeConfig {
   BranchProfilerConfig Profiler;
   TraceBuilderConfig Builder;
   OptimizerCostModel Cost;
-  unsigned WatchEntries = 256;
+  static constexpr unsigned WatchEntries = 256;
   /// Hardware context the helper thread runs on.
-  unsigned HelperCtx = 1;
+  static constexpr unsigned HelperCtx = 1;
   /// Memory latency (max-distance numerator, Section 3.5.2).
   unsigned MemoryLatency = 350;
   /// L1 hit latency (to derive exposed miss latency for DLT updates).
@@ -92,9 +92,10 @@ struct RuntimeConfig {
   uint64_t PhaseIntervalCommits = 200'000;
   /// Manhattan distance between successive trace-mix signatures above
   /// which an interval counts as a phase change (0..2).
-  double PhaseChangeThreshold = 0.5;
+  static constexpr double PhaseChangeThreshold = 0.5;
 
   static RuntimeConfig baseline() { return RuntimeConfig(); }
+  auto operator<=>(const RuntimeConfig &) const = default;
 };
 
 struct RuntimeStats {

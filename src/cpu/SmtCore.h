@@ -64,6 +64,7 @@ struct CoreConfig {
   Addr MemBias = 0;
 
   static CoreConfig baseline() { return CoreConfig(); }
+  auto operator<=>(const CoreConfig &) const = default;
 };
 
 /// Non-allocating completion callback for helper stubs: a plain function

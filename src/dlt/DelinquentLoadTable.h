@@ -55,6 +55,7 @@ struct DltConfig {
   int StrideConfidentAt = 15;
 
   static DltConfig baseline() { return DltConfig(); }
+  auto operator<=>(const DltConfig &) const = default;
 };
 
 /// Read-only view of one DLT entry for the optimizer.

@@ -11,6 +11,8 @@
 
 #include <cctype>
 #include <cstdio>
+#include <limits>
+#include <set>
 
 using namespace trident;
 
@@ -120,12 +122,13 @@ public:
     if (!expect('{'))
       return std::nullopt;
     bool First = true;
+    std::set<std::string> Seen;
     while (!peekIs('}')) {
       if (!First && !expect(','))
         return std::nullopt;
       First = false;
       std::string Key;
-      if (!parseString(Key) || !expect(':'))
+      if (!parseKey(Key, Seen))
         return std::nullopt;
       if (Key == "seed") {
         if (!parseU64(Plan.Seed))
@@ -193,7 +196,19 @@ private:
     return true;
   }
 
-  bool parseU64(uint64_t &Out) {
+  /// Reads an object key and its ':'; a key already in \p Seen is an
+  /// error, as in the knob grammar.
+  bool parseKey(std::string &Key, std::set<std::string> &Seen) {
+    if (!parseString(Key) || !expect(':'))
+      return false;
+    if (!Seen.insert(Key).second) {
+      fail("duplicate key '" + Key + "'");
+      return false;
+    }
+    return true;
+  }
+
+  bool parseU64(uint64_t &Out, uint64_t Max = UINT64_MAX) {
     skipWs();
     size_t End = Pos;
     while (End < S.size() && std::isdigit(static_cast<unsigned char>(S[End])))
@@ -202,12 +217,21 @@ private:
       fail("expected an unsigned number at offset " + std::to_string(Pos));
       return false;
     }
-    if (!parseDecimal(std::string_view(S).substr(Pos, End - Pos), 0,
-                      UINT64_MAX, Out)) {
-      fail("number overflows 64 bits at offset " + std::to_string(Pos));
+    if (!parseDecimal(std::string_view(S).substr(Pos, End - Pos), 0, Max,
+                      Out)) {
+      fail("number exceeds " + std::to_string(Max) + " at offset " +
+           std::to_string(Pos));
       return false;
     }
     Pos = End;
+    return true;
+  }
+
+  bool parseU32(unsigned &Out) {
+    uint64_t V;
+    if (!parseU64(V, std::numeric_limits<unsigned>::max()))
+      return false;
+    Out = static_cast<unsigned>(V);
     return true;
   }
 
@@ -228,14 +252,16 @@ private:
   bool parseAction(FaultAction &A) {
     if (!expect('{'))
       return false;
-    bool HaveKind = false, HaveCycle = false, HaveCount = false;
+    bool HaveKind = false, HaveCycle = false, HaveEvent = false,
+         HaveCount = false;
     bool First = true;
+    std::set<std::string> Seen;
     while (!peekIs('}')) {
       if (!First && !expect(','))
         return false;
       First = false;
       std::string Key;
-      if (!parseString(Key) || !expect(':'))
+      if (!parseKey(Key, Seen))
         return false;
       if (Key == "kind") {
         std::string Name;
@@ -260,11 +286,12 @@ private:
           return false;
         }
         A.Trigger = FaultTrigger::AtEventCount;
-        HaveCount = true;
+        HaveEvent = true;
       } else if (Key == "at_count") {
         A.Trigger = FaultTrigger::AtEventCount;
         if (!parseU64(A.At))
           return false;
+        HaveCount = true;
       } else if (Key == "range_lo") {
         if (!parseU64(A.RangeLo))
           return false;
@@ -272,15 +299,11 @@ private:
         if (!parseU64(A.RangeHi))
           return false;
       } else if (Key == "extra_mem") {
-        uint64_t V;
-        if (!parseU64(V))
+        if (!parseU32(A.ExtraMemLatency))
           return false;
-        A.ExtraMemLatency = static_cast<unsigned>(V);
       } else if (Key == "extra_l2") {
-        uint64_t V;
-        if (!parseU64(V))
+        if (!parseU32(A.ExtraL2Latency))
           return false;
-        A.ExtraL2Latency = static_cast<unsigned>(V);
       } else if (Key == "duration") {
         if (!parseU64(A.DurationCycles))
           return false;
@@ -298,11 +321,15 @@ private:
       fail("action is missing its \"kind\"");
       return false;
     }
-    if (HaveCycle && HaveCount) {
-      fail("action names both at_cycle and at_event triggers");
+    if (HaveCycle && (HaveEvent || HaveCount)) {
+      fail("action mixes at_cycle with at_event/at_count");
       return false;
     }
-    if (!HaveCycle && !HaveCount) {
+    if (HaveCount && !HaveEvent) {
+      fail("at_count needs an at_event kind to count");
+      return false;
+    }
+    if (!HaveCycle && !HaveEvent) {
       fail("action needs an at_cycle or at_event trigger");
       return false;
     }

@@ -12,9 +12,9 @@
 /// event of some kind), a fault kind (latency spike, cache / DLT / watch
 /// eviction, event drop or stall, trace invalidation), and the fault's
 /// parameters. Plans are plain data: value-comparable, JSON round-trippable
-/// (the `--faults <plan.json>` flag on trident_sim), fingerprintable by the
-/// ExperimentRunner memo cache, and generatable from a seed (scattered())
-/// so determinism tests can sweep many schedules.
+/// (the `--faults <plan.json>` flag on trident_sim), part of the config
+/// value the ExperimentRunner memo cache keys on, and generatable from a
+/// seed (scattered()) so determinism tests can sweep many schedules.
 ///
 /// Determinism contract: a plan contains no randomness at execution time —
 /// the same plan against the same machine produces the same injection
@@ -98,18 +98,18 @@ struct FaultAction {
   /// DropEvents: number of enqueue attempts to force-drop.
   uint64_t Count = 1;
 
-  bool operator==(const FaultAction &) const = default;
+  auto operator<=>(const FaultAction &) const = default;
 };
 
 /// A full, ordered fault schedule.
 struct FaultPlan {
   /// Identifies the plan (scattered() generation seed; 0 for hand-written
-  /// plans). Folded into the ExperimentRunner config fingerprint.
+  /// plans). Part of the config value the ExperimentRunner keys on.
   uint64_t Seed = 0;
   std::vector<FaultAction> Actions;
 
   bool empty() const { return Actions.empty(); }
-  bool operator==(const FaultPlan &) const = default;
+  auto operator<=>(const FaultPlan &) const = default;
 
   /// Serializes the plan to the canonical JSON schema (see DESIGN.md §11).
   std::string toJson() const;

@@ -32,6 +32,7 @@ struct CacheConfig {
   unsigned HitLatency = 3;
 
   uint64_t numSets() const { return SizeBytes / (uint64_t(Assoc) * LineSize); }
+  auto operator<=>(const CacheConfig &) const = default;
 };
 
 /// Who initiated a memory access; determines training, stat accounting, and

@@ -141,6 +141,7 @@ struct MemSystemConfig {
 
   /// The paper's Table 1 baseline.
   static MemSystemConfig baseline() { return MemSystemConfig(); }
+  auto operator<=>(const MemSystemConfig &) const = default;
 };
 
 /// Demand/prefetch traffic statistics (feeds Figures 2, 6, 9).

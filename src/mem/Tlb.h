@@ -41,6 +41,8 @@ struct TlbConfig {
   unsigned Assoc = 4;
   unsigned PageBits = 12; ///< 4KB pages.
   unsigned WalkLatency = 30;
+
+  auto operator<=>(const TlbConfig &) const = default;
 };
 
 struct TlbStats {

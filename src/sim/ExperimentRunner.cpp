@@ -8,174 +8,18 @@
 #include "support/Check.h"
 #include "support/Knobs.h"
 
-#include <cstring>
-#include <unordered_map>
+#include <compare>
+#include <map>
+#include <type_traits>
 
 using namespace trident;
 
-//===----------------------------------------------------------------------===//
-// Config fingerprinting
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// FNV-1a accumulator. Every field is folded in byte-by-byte, so field
-/// order matters and any single-bit change perturbs the hash.
-class Fnv1a {
-public:
-  void add(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      addByte(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void add(int64_t V) { add(static_cast<uint64_t>(V)); }
-  void add(int V) { add(static_cast<int64_t>(V)); }
-  void add(unsigned V) { add(static_cast<uint64_t>(V)); }
-  void add(bool V) { add(static_cast<uint64_t>(V ? 1 : 0)); }
-  void add(double V) {
-    uint64_t Bits;
-    static_assert(sizeof(Bits) == sizeof(V));
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    add(Bits);
-  }
-  void add(const std::string &S) {
-    add(static_cast<uint64_t>(S.size()));
-    for (char C : S)
-      addByte(static_cast<uint8_t>(C));
-  }
-  uint64_t hash() const { return H; }
-
-private:
-  void addByte(uint8_t B) {
-    H = (H ^ B) * 1099511628211ull;
-  }
-  uint64_t H = 1469598103934665603ull;
-};
-
-void addCacheConfig(Fnv1a &F, const CacheConfig &C) {
-  F.add(C.Name);
-  F.add(C.SizeBytes);
-  F.add(C.Assoc);
-  F.add(C.LineSize);
-  F.add(C.HitLatency);
-}
-
-void addTlbConfig(Fnv1a &F, const TlbConfig &C) {
-  F.add(C.Enable);
-  F.add(C.NumEntries);
-  F.add(C.Assoc);
-  F.add(C.PageBits);
-  F.add(C.WalkLatency);
-}
-
-void addMemConfig(Fnv1a &F, const MemSystemConfig &C) {
-  addCacheConfig(F, C.L1);
-  addCacheConfig(F, C.L2);
-  addCacheConfig(F, C.L3);
-  F.add(C.MemoryLatency);
-  F.add(C.BusOccupancy);
-  F.add(C.NumMSHRs);
-  F.add(C.StreamBufferTransferLatency);
-  addTlbConfig(F, C.Tlb);
-}
-
-void addCoreConfig(Fnv1a &F, const CoreConfig &C) {
-  F.add(C.IssueWidth);
-  F.add(C.RobSize);
-  F.add(C.IntIssueLimit);
-  F.add(C.FpIssueLimit);
-  F.add(C.MemIssueLimit);
-  F.add(C.MispredictPenalty);
-  F.add(C.NumContexts);
-  F.add(C.HwPfFeedbackIntervalCommits);
-  F.add(C.MemBias);
-}
-
-void addDltConfig(Fnv1a &F, const DltConfig &C) {
-  F.add(C.NumEntries);
-  F.add(C.Assoc);
-  F.add(C.MonitorWindow);
-  F.add(C.MissThreshold);
-  F.add(C.LatencyThreshold);
-  F.add(C.StrideConfidentAt);
-}
-
-void addRuntimeConfig(Fnv1a &F, const RuntimeConfig &C) {
-  F.add(static_cast<uint64_t>(C.Mode));
-  F.add(C.LinkTraces);
-  addDltConfig(F, C.Dlt);
-  F.add(C.Profiler.NumEntries);
-  F.add(C.Profiler.Assoc);
-  F.add(C.Profiler.BitmapBits);
-  F.add(C.Profiler.Rounds);
-  F.add(C.Profiler.MaxCaptureCommits);
-  F.add(C.Builder.MaxLength);
-  F.add(C.Builder.RunClassicalOpts);
-  F.add(C.Cost.StartupCycles);
-  F.add(C.WatchEntries);
-  F.add(C.HelperCtx);
-  F.add(C.MemoryLatency);
-  F.add(C.L1HitLatency);
-  F.add(C.DistanceCap);
-  F.add(C.MaxPendingEvents);
-  F.add(C.SelfRepairInitialEstimate);
-  F.add(C.ClearMatureOnPhaseChange);
-  F.add(C.PhaseIntervalCommits);
-  F.add(C.PhaseChangeThreshold);
-}
-
-void addSelectorConfig(Fnv1a &F, const SelectorConfig &C) {
-  F.add(static_cast<uint64_t>(C.Policy));
-  F.add(C.SamplesPerEpoch);
-  F.add(C.IntervalCommits);
-  F.add(C.Seed);
-  F.add(C.EpsilonPermille);
-  F.add(C.Ucb);
-  F.add(C.EmaPermille);
-  F.add(C.OracleUnit);
-}
-
-void addFaultPlan(Fnv1a &F, const FaultPlan &P) {
-  F.add(P.Seed);
-  F.add(static_cast<uint64_t>(P.Actions.size()));
-  for (const FaultAction &A : P.Actions) {
-    F.add(static_cast<uint64_t>(A.Trigger));
-    F.add(A.At);
-    F.add(static_cast<uint64_t>(A.Counted));
-    F.add(static_cast<uint64_t>(A.Kind));
-    F.add(A.RangeLo);
-    F.add(A.RangeHi);
-    F.add(A.ExtraMemLatency);
-    F.add(A.ExtraL2Latency);
-    F.add(A.DurationCycles);
-    F.add(A.Count);
-  }
-}
-
-} // namespace
-
-// NOTE: enumerate every SimConfig field (transitively) here. A field
-// missing from the fingerprint makes two distinct experiments collide in
-// the memo cache, which silently reuses the wrong result.
-uint64_t trident::configFingerprint(const SimConfig &C) {
-  Fnv1a F;
-  addCoreConfig(F, C.Core);
-  addMemConfig(F, C.Mem);
-  F.add(C.HwPf);
-  F.add(C.EnableTrident);
-  addRuntimeConfig(F, C.Runtime);
-  F.add(C.WarmupInstructions);
-  F.add(C.SimInstructions);
-  addFaultPlan(F, C.Faults);
-  addSelectorConfig(F, C.Selector);
-  // Mix co-runners change the whole memory picture; the lane list (names
-  // AND order — lane index picks the address bias) and the scheduling
-  // quantum are both part of the experiment's identity.
-  F.add(C.MixWith.size());
-  for (const std::string &Lane : C.MixWith)
-    F.add(Lane);
-  F.add(C.MixQuantumCycles);
-  return F.hash();
-}
+// The memo key orders configs with their defaulted operator<=>. A field
+// without a total order (a floating-point NaN compares unordered) would
+// corrupt the map, so such a field must fail to compile instead.
+static_assert(std::is_same_v<std::compare_three_way_result_t<SimConfig>,
+                             std::strong_ordering>,
+              "SimConfig must be strongly ordered to key the memo cache");
 
 //===----------------------------------------------------------------------===//
 // Oracle selector resolution
@@ -220,28 +64,19 @@ SimConfig trident::resolveSelectorOracle(ExperimentRunner &R,
 
 namespace {
 
+/// A memo key: the workload name plus the whole config value.
+using MemoKey = std::pair<std::string, SimConfig>;
+
 struct ResultCache {
   std::mutex Mu;
   // trident-analyze: guarded-by(Mu)
-  std::unordered_map<std::string, std::shared_ptr<const SimResult>> Map;
+  std::map<MemoKey, std::shared_ptr<const SimResult>> Map;
 
   static ResultCache &instance() {
     static ResultCache C;
     return C;
   }
 };
-
-std::string cacheKey(const std::string &WorkloadName, uint64_t Fingerprint) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Fingerprint));
-  std::string Key;
-  Key.reserve(WorkloadName.size() + 1 + 16);
-  Key.append(WorkloadName);
-  Key.push_back('\0');
-  Key.append(Buf);
-  return Key;
-}
 
 } // namespace
 
@@ -321,16 +156,15 @@ ExperimentRunner::runBatch(const std::vector<ExperimentJob> &Jobs) {
   struct Group {
     size_t FirstJob;
     std::vector<size_t> Slots;
-    std::string Key;
+    MemoKey Key;
   };
   std::vector<Group> ToRun;
   if (UseCache) {
     ResultCache &C = ResultCache::instance();
-    std::unordered_map<std::string, size_t> KeyToGroup;
+    std::map<MemoKey, size_t> KeyToGroup;
     std::lock_guard<std::mutex> L(C.Mu);
     for (size_t I = 0; I < Jobs.size(); ++I) {
-      std::string Key =
-          cacheKey(Jobs[I].W.Name, configFingerprint(Jobs[I].Config));
+      MemoKey Key{Jobs[I].W.Name, Jobs[I].Config};
       if (auto Hit = C.Map.find(Key); Hit != C.Map.end()) {
         Results[I] = Hit->second;
         continue;
@@ -343,7 +177,7 @@ ExperimentRunner::runBatch(const std::vector<ExperimentJob> &Jobs) {
     }
   } else {
     for (size_t I = 0; I < Jobs.size(); ++I)
-      ToRun.push_back(Group{I, {I}, std::string()});
+      ToRun.push_back(Group{I, {I}, MemoKey()});
   }
 
   if (ToRun.empty())
@@ -358,19 +192,17 @@ ExperimentRunner::runBatch(const std::vector<ExperimentJob> &Jobs) {
   for (size_t G = 0; G < ToRun.size(); ++G) {
     const ExperimentJob &Job = Jobs[ToRun[G].FirstJob];
     Batch.push_back([this, &Job, &GroupResults, &ToRun, G] {
-      // Fingerprint stability: a memo key must describe the simulation it
-      // caches. If running the simulation perturbed the config (aliasing,
-      // a stray const_cast), every later cache hit on this key would
-      // silently return results for a different experiment.
-      const uint64_t FingerprintBefore =
-          UseCache ? configFingerprint(Job.Config) : 0;
       auto R = std::make_shared<const SimResult>(
           runSimulation(Job.W, Job.Config));
       GroupResults[G] = R;
       if (UseCache) {
-        TRIDENT_CHECK(configFingerprint(Job.Config) == FingerprintBefore,
-                      "config fingerprint changed across runSimulation for "
-                      "workload '%s'; the memo cache key is unstable",
+        // Key stability: a memo key must describe the simulation it
+        // caches. If running the simulation perturbed the config
+        // (aliasing, a stray const_cast), every later cache hit on this
+        // key would silently return results for a different experiment.
+        TRIDENT_CHECK(Job.Config == ToRun[G].Key.second,
+                      "config changed across runSimulation for workload "
+                      "'%s'; the memo cache key is unstable",
                       Job.W.Name.c_str());
         ResultCache &C = ResultCache::instance();
         std::lock_guard<std::mutex> L(C.Mu);

@@ -19,10 +19,13 @@
 ///    with the TRIDENT_BENCH_JOBS environment variable.
 ///
 ///  * A process-wide memoized result cache keyed by (workload name,
-///    config fingerprint). The hardware-baseline runs shared by
-///    Figures 4/5/6/9 simulate exactly once per process; duplicate jobs
-///    inside one batch are also coalesced, so a batch may list the same
-///    (workload, config) pair many times at the cost of one simulation.
+///    config value), compared with SimConfig's defaulted operator<=> so
+///    every field is part of the key. Duplicate jobs inside one batch are
+///    coalesced, so a batch may list the same (workload, config) pair
+///    many times at the cost of one simulation; a key repeated by a later
+///    batch of the same process is a cache hit (fig10's oracle first pass
+///    reuses the static cells the sweep already ran). Each figure bench
+///    is its own process, so nothing is shared between figures.
 ///
 /// Caveat: the cache trusts the workload *name* to identify the program
 /// and its data image. The 14 named workloads satisfy this; if you build
@@ -32,7 +35,7 @@
 /// Synchronization contract (audited under TSan; see
 /// tests/runner_race_test.cpp):
 ///
-///  * The memo cache is a single std::unordered_map guarded by one mutex
+///  * The memo cache is a single std::map guarded by one mutex
 ///    (ResultCache::Mu). Every read and write — the batch-front lookup,
 ///    worker insertion, clearResultCache(), resultCacheSize() — holds
 ///    that mutex; no entry is published by any other means.
@@ -71,11 +74,6 @@
 #include <vector>
 
 namespace trident {
-
-/// Stable 64-bit FNV-1a fingerprint over every field of \p C that affects
-/// simulation behaviour. Two configs with equal fingerprints run the same
-/// experiment; any field change perturbs the fingerprint.
-uint64_t configFingerprint(const SimConfig &C);
 
 /// One unit of work: a workload run under a configuration.
 struct ExperimentJob {
@@ -116,7 +114,7 @@ public:
   ExperimentRunner &operator=(const ExperimentRunner &) = delete;
 
   /// Runs every job and returns one result per job, in submission order.
-  /// Duplicate (workload name, fingerprint) keys — within the batch or
+  /// Duplicate (workload name, config) keys — within the batch or
   /// from earlier batches via the cache — share a single simulation and
   /// return the same underlying object.
   std::vector<std::shared_ptr<const SimResult>>

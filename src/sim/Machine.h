@@ -58,7 +58,7 @@ struct Lane {
 struct Machine {
   /// The machine's own copy of the config, with the selector heartbeat
   /// resolved into Config.Core (the caller's config stays untouched, so
-  /// its memo-cache fingerprint is stable).
+  /// its memo-cache key is stable).
   SimConfig Config;
   MemorySystem Mem;
   EventBus Bus;

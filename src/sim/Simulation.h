@@ -74,13 +74,17 @@ struct SimConfig {
   /// cycles. Lanes later in a round queue behind bus/MSHR reservations
   /// the earlier lanes already made up to the boundary, so large quanta
   /// skew bandwidth toward the primary; 1000 cycles interleaves fairly at
-  /// modest host cost. Part of the config fingerprint.
+  /// modest host cost. Part of the memo key, like every field.
   Cycle MixQuantumCycles = 1'000;
 
   /// The paper's baseline: 8x8 stream buffers, no software prefetching.
   static SimConfig hwBaseline();
   /// Trident with a given prefetch mode on top of the hw baseline.
   static SimConfig withMode(PrefetchMode Mode);
+
+  /// Every field, compared in declaration order: the config value is the
+  /// ExperimentRunner memo key, so a new field joins the key by itself.
+  auto operator<=>(const SimConfig &) const = default;
 };
 
 struct SimResult {

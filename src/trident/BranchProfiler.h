@@ -39,7 +39,9 @@ struct BranchProfilerConfig {
   unsigned Rounds = 3;
   /// Abandon a capture that runs longer than this many committed
   /// instructions without closing the loop.
-  unsigned MaxCaptureCommits = 4096;
+  static constexpr unsigned MaxCaptureCommits = 4096;
+
+  auto operator<=>(const BranchProfilerConfig &) const = default;
 };
 
 // HotTraceCandidate — the payload of the profiler's hot-trace event —

@@ -18,6 +18,7 @@
 #ifndef TRIDENT_TRIDENT_COSTMODEL_H
 #define TRIDENT_TRIDENT_COSTMODEL_H
 
+#include <compare>
 #include <cstdint>
 
 namespace trident {
@@ -25,7 +26,7 @@ namespace trident {
 struct OptimizerCostModel {
   /// Helper-thread startup latency in cycles (Section 4.3: "we simulate
   /// the startup of the thread, with a 2000 cycle latency").
-  uint64_t StartupCycles = 2000;
+  static constexpr uint64_t StartupCycles = 2000;
 
   /// Streamlining + classical optimization of a hot trace.
   uint64_t traceFormation(unsigned TraceLength) const {
@@ -44,6 +45,8 @@ struct OptimizerCostModel {
   uint64_t repair(unsigned NumLoadsRepaired) const {
     return 150 + 80ull * NumLoadsRepaired;
   }
+
+  auto operator<=>(const OptimizerCostModel &) const = default;
 };
 
 } // namespace trident

@@ -150,8 +150,7 @@ std::optional<Trace> TraceBuilder::build(const Program &Prog,
     }
   }
 
-  if (Config.RunClassicalOpts)
-    LastOptStats = runClassicalOpts(T.Body);
+  LastOptStats = runClassicalOpts(T.Body);
   return T;
 }
 

@@ -31,7 +31,8 @@ struct TraceBuilderConfig {
   /// Trace length cap; generous so that applu-class (>1000 instruction)
   /// inner loops still fit in one trace.
   unsigned MaxLength = 2048;
-  bool RunClassicalOpts = true;
+
+  auto operator<=>(const TraceBuilderConfig &) const = default;
 };
 
 /// Statistics for one optimization pass over a trace body.

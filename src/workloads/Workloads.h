@@ -51,8 +51,8 @@ const std::vector<std::string> &workloadNames();
 /// Builds the named workload: one of the 14 benchmarks, or a fuzz spec
 /// ("fuzz@SEED[:knob=v,...]" — see workloads/fuzz/FuzzGenerator.h). All
 /// drivers, benches, and the mix scheduler resolve workloads through this
-/// single entry point, so fuzz scenarios inherit stats, memoization, and
-/// fingerprint coverage for free. Asserts on unknown names.
+/// single entry point, so fuzz scenarios inherit stats and memoization
+/// for free. Asserts on unknown names.
 Workload makeWorkload(const std::string &Name);
 
 /// Builds every named workload (the fixed 14; fuzz scenarios are an

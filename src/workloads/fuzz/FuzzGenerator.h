@@ -15,9 +15,9 @@
 /// Determinism is the load-bearing contract: every draw comes from one
 /// SplitMix64 seeded by (Seed, knobs), there is no global RNG state, and the
 /// canonical workload name encodes the seed and every non-default knob.
-/// The ExperimentRunner memo cache keys on (workload name, config
-/// fingerprint), so two fuzz scenarios share a cache entry exactly when they
-/// are the same program — which the name guarantees.
+/// The ExperimentRunner memo cache keys on (workload name, config value),
+/// so two fuzz scenarios share a cache entry exactly when they are the
+/// same program — which the name guarantees.
 ///
 /// Spec grammar (the `trident_sim --fuzz` argument and the makeWorkload
 /// name after the "fuzz@" prefix):

@@ -164,15 +164,15 @@ TEST(Selector, OffByDefaultLeavesNoTrace) {
   EXPECT_EQ(R.Registry->toJsonl().find("selector."), std::string::npos);
 }
 
-TEST(Selector, ConfigFingerprintSeparatesPolicies) {
+TEST(Selector, ConfigKeySeparatesPolicies) {
   SimConfig A = budget(SimConfig::hwBaseline());
   SimConfig B = A;
   std::string Err;
   ASSERT_TRUE(SelectorConfig::parse("bandit", B.Selector, &Err)) << Err;
-  EXPECT_NE(configFingerprint(A), configFingerprint(B));
+  EXPECT_NE(A, B);
   SimConfig C2 = A;
   ASSERT_TRUE(SelectorConfig::parse("bandit:seed=2", C2.Selector, &Err));
-  EXPECT_NE(configFingerprint(B), configFingerprint(C2));
+  EXPECT_NE(B, C2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,6 +299,5 @@ TEST(Selector, OracleResolvesToBestStaticAndNeverSwaps) {
 
   // Non-oracle configs pass through resolution untouched.
   SimConfig Bandit = banditConfig(1);
-  EXPECT_EQ(configFingerprint(resolveSelectorOracle(R, W, Bandit)),
-            configFingerprint(Bandit));
+  EXPECT_EQ(resolveSelectorOracle(R, W, Bandit), Bandit);
 }

@@ -6,7 +6,7 @@
 // change a result. For every workload, a batch run across many worker
 // threads must produce bit-identical SimResults to serial execution, the
 // memo cache must hand back the same object for a repeated (workload,
-// config fingerprint) key, and results must come back in submission order.
+// config) key, and results must come back in submission order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -127,54 +127,69 @@ TEST(ExperimentRunner, CacheDistinguishesConfigs) {
   ExperimentRunner::clearResultCache();
 }
 
-TEST(ConfigFingerprint, SensitiveToEveryLayerOfTheConfig) {
-  SimConfig Base = SimConfig::hwBaseline();
-  uint64_t H = configFingerprint(Base);
-  EXPECT_EQ(H, configFingerprint(SimConfig::hwBaseline()));
+TEST(ConfigKey, SensitiveToEveryLayerOfTheConfig) {
+  const SimConfig Base = SimConfig::hwBaseline();
+  EXPECT_EQ(Base, SimConfig::hwBaseline());
 
   SimConfig C = Base;
   C.SimInstructions += 1;
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
   C = Base;
   C.Mem.NumMSHRs = 16;
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
   C = Base;
   C.Core.IssueWidth = 2;
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
   C = Base;
   C.HwPf = "sb4x4";
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
   C = Base;
   C.HwPf = "sb8x8:depth=8"; // same unit, distinct spec string
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
   C = Base;
   C.Core.HwPfFeedbackIntervalCommits = 1000;
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
   C = Base;
   C.Mem.Tlb.Enable = true;
-  EXPECT_NE(configFingerprint(C), H);
+  EXPECT_NE(C, Base);
 
-  SimConfig T = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  uint64_t HT = configFingerprint(T);
-  EXPECT_NE(HT, H);
+  C = Base;
+  C.Selector.OracleUnit = "dcpt";
+  EXPECT_NE(C, Base);
+
+  // Lane order picks each co-runner's address bias, so it is identity.
+  C = Base;
+  C.MixWith = {"art", "equake"};
+  SimConfig Swapped = Base;
+  Swapped.MixWith = {"equake", "art"};
+  EXPECT_NE(C, Swapped);
+
+  C = Base;
+  C.Faults.Actions.push_back(FaultAction{});
+  SimConfig Spiked = C;
+  Spiked.Faults.Actions[0].ExtraMemLatency = 100;
+  EXPECT_NE(Spiked, C);
+
+  const SimConfig T = SimConfig::withMode(PrefetchMode::SelfRepairing);
+  EXPECT_NE(T, Base);
 
   SimConfig T2 = T;
   T2.Runtime.Dlt.MissThreshold = 4;
-  EXPECT_NE(configFingerprint(T2), HT);
+  EXPECT_NE(T2, T);
 
   T2 = T;
   T2.Runtime.LinkTraces = false;
-  EXPECT_NE(configFingerprint(T2), HT);
+  EXPECT_NE(T2, T);
 
   T2 = T;
   T2.Runtime.Mode = PrefetchMode::Basic;
-  EXPECT_NE(configFingerprint(T2), HT);
+  EXPECT_NE(T2, T);
 }
 
 TEST(ExperimentRunner, DefaultThreadCountIsPositive) {

@@ -118,12 +118,31 @@ TEST(FaultPlan, ParserRejectsMalformedInput) {
       "{\"seed\":99999999999999999999}",              // 64-bit overflow
       "{\"seed\":-1}",                                // signed numbers
       "{\"seed\":1,\"actions\":[",                    // truncated
+      "{\"actions\":[{\"kind\":\"latency-spike\",\"at_cycle\":1,"
+      "\"extra_mem\":4294967296}]}",                  // wraps to 0 as unsigned
+      "{\"actions\":[{\"kind\":\"latency-spike\",\"at_cycle\":1,"
+      "\"extra_l2\":4294967296}]}",
+      "{\"actions\":[{\"kind\":\"evict-dlt\",\"at_cycle\":1000,"
+      "\"at_count\":7}]}",                            // at_count, no at_event
+      "{\"actions\":[{\"kind\":\"evict-dlt\",\"at_count\":7,"
+      "\"at_cycle\":1000}]}",                         // ... in either order
+      "{\"actions\":[{\"kind\":\"evict-dlt\",\"at_count\":7}]}",
+      "{\"actions\":[{\"kind\":\"evict-dlt\",\"at_cycle\":5,"
+      "\"at_cycle\":9}]}",                            // repeated key
+      "{\"seed\":1,\"seed\":2}",
   };
   for (const char *Text : Bad) {
     std::string Error;
     EXPECT_FALSE(FaultPlan::parseJson(Text, &Error).has_value()) << Text;
     EXPECT_FALSE(Error.empty()) << Text;
   }
+  // The latency fields take their full unsigned range, and no more.
+  std::optional<FaultPlan> Max = FaultPlan::parseJson(
+      "{\"actions\":[{\"kind\":\"latency-spike\",\"at_cycle\":1,"
+      "\"extra_mem\":4294967295,\"extra_l2\":4294967295}]}");
+  ASSERT_TRUE(Max.has_value());
+  EXPECT_EQ(Max->Actions[0].ExtraMemLatency, 4294967295u);
+  EXPECT_EQ(Max->Actions[0].ExtraL2Latency, 4294967295u);
 }
 
 TEST(FaultPlan, ScatteredIsSeedDeterministic) {

@@ -548,7 +548,7 @@ TEST(PrefetcherRegistry, StreamBufferHistoryMustBeAPowerOfTwo) {
 
 TEST(PrefetcherRegistry, DuplicateKnobsAreRejected) {
   // A repeat would make "depth=4,depth=16" mean one of the two while
-  // fingerprinting as a distinct config.
+  // comparing as a distinct config value.
   std::string Error;
   EXPECT_EQ(PrefetcherRegistry::instance().create("sb8x8:depth=4,depth=16",
                                                   PrefetcherEnv{}, &Error),

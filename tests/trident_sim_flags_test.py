@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Bad-flag contract for the trident_sim CLI.
 
-Every malformed or out-of-range numeric flag or knob spec must fail fast
-with exactly one stderr line and exit code 2 (never run, hang, or abort on an internal
-check), and a valid small run must still exit 0.
+Every malformed or out-of-range numeric flag, knob spec or fault plan must
+fail fast with exactly one stderr line and exit code 2 (never run, hang, or
+abort on an internal check), and a valid small run must still exit 0.
 
 Usage: trident_sim_flags_test.py PATH/TO/trident_sim
 """
 
+import os
 import subprocess
 import sys
+import tempfile
 
 BAD = [
     ["--instr", "abc"],
@@ -35,6 +37,11 @@ BAD = [
     ["--selector", "bandit:eps=0x3e8"],
 ]
 
+# A fault plan whose extra_mem does not fit the unsigned latency field
+# (it used to wrap to 0 and run as a no-op spike).
+BAD_PLAN = ('{"actions":[{"kind":"latency-spike","at_cycle":1,'
+            '"extra_mem":4294967296}]}')
+
 VALID = ["--instr", "2000", "--warmup", "1000"]
 
 
@@ -46,19 +53,25 @@ def run(binary, args):
 def main():
     binary = sys.argv[1]
     failures = []
-    for args in BAD:
-        r = run(binary, args)
-        lines = r.stderr.splitlines()
-        if r.returncode != 2 or len(lines) != 1:
-            failures.append(f"{' '.join(args)}: exit {r.returncode}, "
-                            f"{len(lines)} stderr line(s): {r.stderr!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = os.path.join(tmp, "bad_plan.json")
+        with open(plan, "w") as f:
+            f.write(BAD_PLAN)
+        cases = BAD + [["--faults", plan]]
+        for args in cases:
+            r = run(binary, args)
+            lines = r.stderr.splitlines()
+            if r.returncode != 2 or len(lines) != 1:
+                failures.append(f"{' '.join(args)}: exit {r.returncode}, "
+                                f"{len(lines)} stderr line(s): {r.stderr!r}")
     r = run(binary, VALID)
     if r.returncode != 0:
         failures.append(f"valid run {' '.join(VALID)}: exit {r.returncode}: "
                         f"{r.stderr!r}")
     for f in failures:
         print("FAIL", f)
-    print(f"{len(BAD) + 1 - len(failures)}/{len(BAD) + 1} cases ok")
+    total = len(cases) + 1
+    print(f"{total - len(failures)}/{total} cases ok")
     return 1 if failures else 0
 
 
