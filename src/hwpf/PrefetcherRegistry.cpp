@@ -39,14 +39,14 @@ constexpr Knob kDcptKnobs[] = {
     knob<&DcptConfig::NumEntries>("entries", 1, 4096),
     knob<&DcptConfig::NumDeltas>("deltas", 2, 64),
     knob<&DcptConfig::Degree>("degree", 1, 64),
-    knob<&DcptConfig::BufferCapacity>("buffer", 0, 1024),
+    knob<&DcptConfig::BufferCapacity>("buffer", 1, 1024),
 };
 
 constexpr Knob kTskidKnobs[] = {
     knob<&TskidConfig::NumEntries>("entries", 1, 4096),
     knob<&TskidConfig::RecentMissDepth>("recent", 1, 256),
     knob<&TskidConfig::PendingDepth>("pending", 1, 1024),
-    knob<&TskidConfig::BufferCapacity>("buffer", 0, 1024),
+    knob<&TskidConfig::BufferCapacity>("buffer", 1, 1024),
     knob<&TskidConfig::LeadCycles>("lead", 0, 1'000'000),
     knob<&TskidConfig::MinSkidCycles>("minskid", 0, 1'000'000),
 };

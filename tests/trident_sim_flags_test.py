@@ -33,6 +33,9 @@ BAD = [
     ["--hwpf", "enhanced-stream:degree=4294967295"],
     ["--hwpf", "dcpt:entries=0x10"],
     ["--hwpf", "dcpt:entries=64,"],
+    # A zero-slot prefetch buffer used to run silently as a one-slot one.
+    ["--hwpf", "dcpt:buffer=0"],
+    ["--hwpf", "tskid:buffer=0"],
     ["--selector", "bandit:ucb=2"],
     ["--selector", "bandit:eps=0x3e8"],
 ]
