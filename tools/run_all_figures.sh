@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Builds the repo and runs every figure/ablation binary under
-# TRIDENT_BENCH_QUICK=1 (quarter instruction budget) — a CI-sized smoke of
-# the full experimental methodology. Also runs host_throughput, whose JSON
-# line tracks simulator performance, and fails if any binary fails.
+# Builds the repo and runs every figure/ablation binary (fig2-fig11 +
+# ablation) under TRIDENT_BENCH_QUICK=1 (quarter instruction budget) — a
+# CI-sized smoke of the full experimental methodology. Fails if any binary
+# fails; otherwise ends with one line giving the suite's wall, user and sys
+# seconds (the figure binaries only, not the build).
 #
 # Usage: tools/run_all_figures.sh [build-dir] [--hwpf LIST]
 #   --hwpf LIST          comma list restricting fig9's prefetcher axis
@@ -44,15 +45,17 @@ FIGURES=(
   fig8_sensitivity_dlt
   fig9_hw_vs_sw
   fig10_selector
+  fig11_fuzz
   ablation_adaptivity
-  host_throughput
 )
 
-for FIG in "${FIGURES[@]}"; do
+TIMEFORMAT='figure suite: wall %R s, user %U s, sys %S s'
+time {
+  for FIG in "${FIGURES[@]}"; do
+    echo
+    echo "### $FIG"
+    "$BUILD_DIR/bench/$FIG"
+  done
   echo
-  echo "### $FIG"
-  "$BUILD_DIR/bench/$FIG"
-done
-
-echo
-echo "all figures completed."
+  echo "all figures completed."
+}
