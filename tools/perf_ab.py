@@ -138,10 +138,11 @@ def ab(bench, trees, pairs):
     for w in (w["name"] for w in bench["workloads"]):
         runs[w] = {"parent": [None] * pairs, "change": [None] * pairs}
         for i, seed, side in schedule(pairs):
-            print(f"perf_ab: {w} pair {i + 1}/{pairs} {side}",
-                  file=sys.stderr, flush=True)
-            runs[w][side][i] = run_one(trees[side], w, seed,
-                                       bench["run_seconds"])
+            rec = run_one(trees[side], w, seed, bench["run_seconds"])
+            runs[w][side][i] = rec
+            print(f"perf_ab: {w} pair {i + 1}/{pairs} {side} sim_ips "
+                  f"{rec['metrics']['sim_ips']:.6g}", file=sys.stderr,
+                  flush=True)
     first = runs[bench["workloads"][0]["name"]]
     verdict = {"base": first["parent"][0]["commit"],
                "change": first["change"][0]["commit"],
