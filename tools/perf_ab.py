@@ -5,13 +5,14 @@ Usage (from the repository root):
 
     python3 tools/perf_ab.py BASE_REF [--pairs N]
 
-Adds a detached git worktree of BASE_REF (the parent) under a temporary
-directory, and removes it again however the run ends. For every workload
-in BENCHMARK.json it runs perfbench/run.py in the parent and in this
-checkout (the change) for N pairs (default 5), one process at a time, for
-BENCHMARK.json's run_seconds. Both sides of pair i use seed i; the parent
-runs first on even pairs and the change first on odd pairs, so a drift in
-host speed favours neither side. Each tree builds its own perfbench.
+Adds detached git worktrees of BASE_REF (the parent) and of HEAD (the
+change; uncommitted changes under src/ or perfbench/ are refused) side by
+side under a temporary directory, and removes them however the run ends.
+For every workload in BENCHMARK.json it runs perfbench/run.py in both
+trees for N pairs (default 5), one process at a time, for run_seconds.
+Both sides of pair i use seed i; the parent runs first on even pairs and
+the change first on odd pairs, so a drift in host speed favours neither
+side. Each tree builds its own perfbench.
 
 The gate, per workload: for every end-to-end metric, the median over pairs
 of the change/parent ratio, oriented by the metric's "better", may be
@@ -21,8 +22,9 @@ share of the change above the parent's, also fails the gate.
 
 Prints one table (parent and change medians, the change's wins over pairs,
 the parent's quartile distance) and then one JSON line with both commits,
-host, compiler, pairs and every median and win count. Writes no files.
-Exits 0 when the gate passes, 1 when it fails or a run fails.
+host, compiler, pairs and every median and win count; each run's sim_ips
+goes to stderr as it finishes. Writes no files. Exits 0 when the gate
+passes, 1 when it fails or a run fails, 2 on a usage error.
 """
 
 import argparse
@@ -175,21 +177,34 @@ def main():
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    dirty = subprocess.run(["git", "-C", ROOT, "status", "--porcelain",
+                            "--", "src", "perfbench"], capture_output=True,
+                           text=True, check=True).stdout
+    if dirty:
+        ap.error("the change is HEAD: commit the changes under src/ and "
+                 "perfbench/ first")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    # Both sides are worktrees at paths of equal length, built and run the
+    # same way. Run from the checkout itself, identical sources measured
+    # about 5% slower than from a worktree (argv, cwd and build paths all
+    # differ in length), which is as large as the limit.
     tmp = tempfile.mkdtemp(prefix="perf_ab-")
-    base = os.path.join(tmp, "parent")
+    trees = {"parent": os.path.join(tmp, "parent"),
+             "change": os.path.join(tmp, "change")}
     try:
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        base, args.base_ref], check=True, stdout=sys.stderr)
-        return ab(bench, {"parent": base, "change": ROOT}, args.pairs)
+        for side, ref in (("parent", args.base_ref), ("change", "HEAD")):
+            subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                            trees[side], ref], check=True, stdout=sys.stderr)
+        return ab(bench, trees, args.pairs)
     except (subprocess.SubprocessError, RuntimeError, ValueError,
             LookupError) as e:
         print(f"perf_ab: {e}", file=sys.stderr)
         return 1
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                        base], stderr=subprocess.DEVNULL)
+        for tree in trees.values():
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
+                            "--force", tree], stderr=subprocess.DEVNULL)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "-C", ROOT, "worktree", "prune"])
 
