@@ -185,15 +185,14 @@ def main():
                  "perfbench/ first")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    # Both sides are worktrees at paths of equal length, built and run the
-    # same way. Run from the checkout itself, identical sources measured
-    # about 5% slower than from a worktree (argv, cwd and build paths all
-    # differ in length), which is as large as the limit.
+    # Both sides are worktrees at paths of equal length, built cold and run
+    # the same way, so they differ only in their commit, and each run's
+    # commit stamp names what was measured.
+    refs = {"parent": args.base_ref, "change": "HEAD"}
     tmp = tempfile.mkdtemp(prefix="perf_ab-")
-    trees = {"parent": os.path.join(tmp, "parent"),
-             "change": os.path.join(tmp, "change")}
+    trees = {side: os.path.join(tmp, side) for side in refs}
     try:
-        for side, ref in (("parent", args.base_ref), ("change", "HEAD")):
+        for side, ref in refs.items():
             subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
                             trees[side], ref], check=True, stdout=sys.stderr)
         return ab(bench, trees, args.pairs)
