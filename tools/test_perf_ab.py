@@ -3,13 +3,15 @@
 
 Feeds synthetic run records to the gate's pure functions (schedule,
 parse_run, compare, problems) against the repository's own BENCHMARK.json,
-so no benchmark runs. ctest runs this as perf_ab_test.
+and checks that the command line refuses an odd pair count, so no
+benchmark runs. ctest runs this as perf_ab_test.
 
 Exit: 0 when every case passes, 1 otherwise.
 """
 
 import json
 import os
+import subprocess
 import sys
 import unittest
 
@@ -35,7 +37,11 @@ def gate(parent, change):
 
 
 def failing(rows):
-    return [r["metric"] for r in rows if not r["ok"]]
+    return [r["metric"] for r in rows if r["verdict"] == "FAIL"]
+
+
+def verdict(rows, metric):
+    return next(r["verdict"] for r in rows if r["metric"] == metric)
 
 
 class Gate(unittest.TestCase):
@@ -43,7 +49,7 @@ class Gate(unittest.TestCase):
         rows, msgs = gate([record()] * 5, [record()] * 5)
         self.assertEqual(msgs, [])
         self.assertTrue(all(r["wins"] == 0 and r["ratio"] == 1.0
-                            for r in rows))
+                            and r["verdict"] == "ok" for r in rows))
 
     def test_sim_ips_limit_is_five_percent(self):
         rows, msgs = gate([record()] * 5,
@@ -96,6 +102,25 @@ class Gate(unittest.TestCase):
         _, msgs = gate([record(correct=False), record()], [record()] * 2)
         self.assertIn("a parent run reports correct: false", msgs)
 
+    def test_noisy_parent_leaves_a_passing_metric_unresolved(self):
+        # The parent's sim_ips quartiles are 20% apart, wider than the 5%
+        # limit: a median within the limit cannot show that it held.
+        parent = [record({"sim_ips": s}) for s in (0.8, 0.9, 1.0, 1.1, 1.2)]
+        rows, msgs = gate(parent, parent)
+        self.assertEqual(verdict(rows, "sim_ips"), "unresolved")
+        self.assertEqual(verdict(rows, "batch_s"), "ok")
+        self.assertEqual(msgs, [])
+        # A loss beyond the limit still fails.
+        slower = [record({"sim_ips": s * 0.9}) for s in (0.8, 0.9, 1.0, 1.1,
+                                                          1.2)]
+        rows, msgs = gate(parent, slower)
+        self.assertEqual(failing(rows), ["sim_ips"])
+        self.assertIn("sim_ips", msgs[0])
+        # Every change run above every parent run resolves it.
+        faster = [record({"sim_ips": 1.3})] * 5
+        rows, _ = gate(parent, faster)
+        self.assertEqual(verdict(rows, "sim_ips"), "ok")
+
     def test_parent_iqr(self):
         parent = [record({"sim_ips": s}) for s in (0.8, 0.9, 1.0, 1.1, 1.2)]
         rows, _ = gate(parent, parent)
@@ -105,10 +130,27 @@ class Gate(unittest.TestCase):
 
 class Schedule(unittest.TestCase):
     def test_order_alternates_and_pairs_share_a_seed(self):
-        self.assertEqual(perf_ab.schedule(3), [
+        self.assertEqual(perf_ab.schedule(4), [
             (0, 0, "parent"), (0, 0, "change"),
             (1, 1, "change"), (1, 1, "parent"),
-            (2, 2, "parent"), (2, 2, "change")])
+            (2, 2, "parent"), (2, 2, "change"),
+            (3, 3, "change"), (3, 3, "parent")])
+
+    def test_parent_goes_first_in_exactly_half_the_pairs(self):
+        for pairs in (2, perf_ab.DEFAULT_PAIRS):
+            order = perf_ab.schedule(pairs)
+            firsts = [side for k, (_, _, side) in enumerate(order)
+                      if k % 2 == 0]
+            self.assertEqual(firsts.count("parent"), pairs // 2)
+            self.assertEqual(firsts.count("change"), pairs // 2)
+
+    def test_odd_pair_count_is_refused(self):
+        for pairs in ("5", "0"):
+            proc = subprocess.run(
+                [sys.executable, os.path.join(HERE, "perf_ab.py"), "HEAD",
+                 "--pairs", pairs], capture_output=True, text=True)
+            self.assertEqual(proc.returncode, 2)
+            self.assertIn("even", proc.stderr)
 
 
 class Parse(unittest.TestCase):
