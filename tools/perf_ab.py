@@ -21,11 +21,11 @@ of the change/parent ratio, oriented by the metric's "better", may be
 worse by at most its limit: SIM_IPS_LIMIT for sim_ips, which overrides
 BENCHMARK.json's bound for it, and the metric's bound for every other
 metric. A metric within its limit is "unresolved" rather than "ok" when
-the parent's own quartile distance over pairs exceeds the limit (relative
-to the parent's median), unless every change run beats every parent run:
-the runs then cannot show that it did not worsen. Any run with correct:
-false, or a failed/attempted share of the change above the parent's, also
-fails the gate.
+the parent's own quartile distance over pairs, divided by its median,
+exceeds the limit: runs that spread wider than the limit cannot show
+that the metric held, unless every change run beats every parent run.
+Any run with correct: false, or a failed/attempted share of the change
+above the parent's, also fails the gate.
 
 Prints one table (parent and change medians, the change's wins over pairs,
 the parent's quartile distance over its median, the limit and the
