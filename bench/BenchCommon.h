@@ -1,18 +1,19 @@
-//===- BenchCommon.h - Shared harness utilities for figure benches --------===//
+//===- BenchCommon.h - Shared utilities of the figures --------------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-figure benchmark binaries: instruction-budget
-/// env knobs, the shared parallel batch runner, and table assembly. Every
-/// figure binary builds its full (workload, config) job list up front,
-/// hands it to the process-wide ExperimentRunner — which fans the
-/// independent runs across worker threads and memoizes shared
-/// configurations such as the hw baseline — and then assembles the same
-/// rows/series the paper reports, plus a short "paper says / we measure"
-/// note.
+/// Helpers shared by the figures of the trident_figures driver:
+/// instruction-budget env knobs, the shared parallel batch runner, JSONL
+/// output, and table assembly. Every figure builds its full (workload,
+/// config) job list up front, hands it to the process-wide
+/// ExperimentRunner — which fans the independent runs across worker
+/// threads and memoizes shared configurations such as the hw baseline,
+/// also across the figures of one driver run — and then assembles the
+/// same rows/series the paper reports, plus a short "paper says / we
+/// measure" note.
 ///
 /// Environment knobs:
 ///   TRIDENT_BENCH_INSTR  per-run committed-instruction budget
@@ -36,8 +37,10 @@
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,9 +81,10 @@ inline SimConfig withBudget(SimConfig C) {
   return C;
 }
 
-/// The batch runner every figure binary shares: all hardware threads (or
+/// The batch runner every figure shares: all hardware threads (or
 /// $TRIDENT_BENCH_JOBS) plus the process-wide memo cache, so repeated
-/// configurations — above all the hw baseline — simulate exactly once.
+/// configurations — above all the hw baseline — simulate exactly once per
+/// driver run, whichever figure asks first.
 inline ExperimentRunner &runner() {
   static ExperimentRunner R;
   return R;
@@ -100,15 +104,61 @@ runBatch(const std::vector<NamedJob> &Named) {
   return runner().runBatch(Jobs);
 }
 
-/// Runs one workload under one configuration with the standard budget
-/// (through the shared runner, so the memo cache still applies).
-inline SimResult run(const std::string &Name, SimConfig C) {
-  return *runner().run(makeWorkload(Name), withBudget(C));
-}
-
 /// Percent-speedup string of A over Base.
 inline std::string pctOver(const SimResult &A, const SimResult &Base) {
   return formatPercent(speedup(A, Base) - 1.0, 1);
+}
+
+/// Appends \p S to \p Out with JSON string escaping of '"' and '\\'.
+inline void jsonEscapeInto(std::string &Out, const std::string &S) {
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out += '\\';
+    Out += C;
+  }
+}
+
+/// Closes the string value a JSONL record left open and appends the
+/// fields fig9 and fig11 record for one arsenal cell: whether Trident ran,
+/// IPC, speedup over the no-prefetch cell and the prefetcher's feedback
+/// counters. Ends the record and its line.
+inline void appendArsenalCellJson(std::string &Out, int Trident,
+                                  const SimResult &R, double Speedup) {
+  char Buf[256];
+  std::snprintf(Buf, sizeof(Buf),
+                "\",\"trident\":%d,\"ipc\":%.6f,"
+                "\"speedup_over_none\":%.6f,\"hw_prefetches\":%llu,"
+                "\"pf_issued\":%llu,\"pf_useful\":%llu,\"pf_late\":%llu,"
+                "\"demand_misses\":%llu,\"accuracy\":%.6f,"
+                "\"coverage\":%.6f}\n",
+                Trident, R.Ipc, Speedup,
+                (unsigned long long)R.Mem.HardwarePrefetches,
+                (unsigned long long)R.PfFeedback.Issued,
+                (unsigned long long)R.PfFeedback.Useful,
+                (unsigned long long)R.PfFeedback.Late,
+                (unsigned long long)R.PfFeedback.DemandMisses,
+                R.PfFeedback.accuracy(), R.PfFeedback.coverage());
+  Out += Buf;
+}
+
+/// Writes a figure's JSONL records to the path in the environment
+/// variable \p Env when set and non-empty, else to \p DefaultPath. Returns
+/// the path, or null after one stderr line naming it when the open, a
+/// write or the close failed: a full disk must not pass for a complete
+/// file.
+inline const char *writeJsonl(const char *Env, const char *DefaultPath,
+                              const std::string &Records) {
+  const char *E = std::getenv(Env);
+  const char *Path = E && *E ? E : DefaultPath;
+  if (std::FILE *F = std::fopen(Path, "w")) {
+    const bool Written =
+        std::fwrite(Records.data(), 1, Records.size(), F) == Records.size();
+    if (std::fclose(F) == 0 && Written)
+      return Path;
+  }
+  std::fprintf(stderr, "error: cannot write '%s': %s\n", Path,
+               std::strerror(errno));
+  return nullptr;
 }
 
 /// Prints one machine-readable line summarizing event-plumbing health
@@ -149,6 +199,20 @@ inline void printHeader(const char *Figure, const char *What,
   std::printf("==============================================================="
               "=========\n");
 }
+
+/// The figures, one per paper figure/table; each returns its exit code.
+/// trident_figures.cpp maps their command-line names onto them.
+int fig2Baseline();
+int fig3Overhead();
+int fig4Coverage();
+int fig5Speedup();
+int fig6Breakdown();
+int fig7SensitivityWindow();
+int fig8SensitivityDlt();
+int fig9HwVsSw();
+int fig10Selector();
+int fig11Fuzz();
+int ablationAdaptivity();
 
 } // namespace bench
 } // namespace trident

@@ -1,4 +1,4 @@
-//===- ablation_adaptivity.cpp - Design-choice ablations --------------------===//
+//===- ablation_adaptivity.cpp - Design-choice ablations ------------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -23,7 +23,6 @@
 #include "isa/ProgramBuilder.h"
 
 using namespace trident;
-using namespace trident::bench;
 
 namespace {
 
@@ -69,7 +68,7 @@ Workload phasedWorkload() {
 
 } // namespace
 
-int main() {
+int trident::bench::ablationAdaptivity() {
   printHeader("Ablations", "initial-distance & phase-adaptation choices",
               "initial distance is irrelevant under repair (5.3); mature "
               "clearing on phase change is the paper's future work");

@@ -1,4 +1,4 @@
-//===- fig10_selector.cpp - Figure 10: phase-aware selector study ----------===//
+//===- fig10_selector.cpp - Figure 10: phase-aware selector study ---------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -34,17 +34,8 @@
 #include <map>
 
 using namespace trident;
-using namespace trident::bench;
 
 namespace {
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-}
 
 /// The regime-shift schedule: alternating wide latency spikes and full
 /// cache flushes early enough to land inside even TRIDENT_BENCH_QUICK
@@ -82,7 +73,7 @@ double exposedPerLoad(const SimResult &R) {
 
 } // namespace
 
-int main() {
+int trident::bench::fig10Selector() {
   printHeader("Figure 10",
               "phase-aware selector vs static arsenal under regime shifts",
               "beyond the paper: runtime-guided reconfiguration (POWER7) / "
@@ -137,33 +128,25 @@ int main() {
   auto AdaptiveResults = runBatch(AdaptiveJobs);
 
   // JSONL: one record per cell.
-  const char *OutPath = std::getenv("TRIDENT_FIG10_OUT");
-  if (!OutPath || !*OutPath)
-    OutPath = "fig10_selector.jsonl";
-  std::FILE *Out = std::fopen(OutPath, "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath);
-    return 1;
-  }
-
+  std::string Jsonl;
   auto emit = [&](const std::string &Load, const std::string &Config,
                   const SimResult &R, double Reduction) {
-    std::string Line = "{\"workload\":\"";
-    jsonEscapeInto(Line, Load);
-    Line += "\",\"config\":\"";
-    jsonEscapeInto(Line, Config);
-    Line += "\",\"final_unit\":\"";
-    jsonEscapeInto(Line, R.SelectorFinalUnit.empty()
-                             ? (R.HwPf.Prefetcher.empty() ? "none"
-                                                          : R.HwPf.Prefetcher)
-                             : R.SelectorFinalUnit);
+    Jsonl += "{\"workload\":\"";
+    jsonEscapeInto(Jsonl, Load);
+    Jsonl += "\",\"config\":\"";
+    jsonEscapeInto(Jsonl, Config);
+    Jsonl += "\",\"final_unit\":\"";
+    jsonEscapeInto(Jsonl, R.SelectorFinalUnit.empty()
+                              ? (R.HwPf.Prefetcher.empty() ? "none"
+                                                           : R.HwPf.Prefetcher)
+                              : R.SelectorFinalUnit);
     char Buf[320];
     std::snprintf(
         Buf, sizeof(Buf),
         "\",\"ipc\":%.6f,\"demand_loads\":%llu,\"exposed_total\":%llu,"
         "\"exposed_per_load\":%.6f,\"reduction_vs_none\":%.6f,"
         "\"epochs\":%llu,\"swaps\":%llu,\"explorations\":%llu,"
-        "\"decisions\":%llu,\"faults_injected\":%llu}",
+        "\"decisions\":%llu,\"faults_injected\":%llu}\n",
         R.Ipc, (unsigned long long)R.Mem.DemandLoads,
         (unsigned long long)R.Mem.TotalExposedLatency, exposedPerLoad(R),
         Reduction, (unsigned long long)R.Selector.Epochs,
@@ -171,8 +154,7 @@ int main() {
         (unsigned long long)R.Selector.Explorations,
         (unsigned long long)R.SelectorTrace.size(),
         (unsigned long long)R.Faults.Injected);
-    Line += Buf;
-    std::fprintf(Out, "%s\n", Line.c_str());
+    Jsonl += Buf;
   };
 
   // Per-config exposure ratios vs none (geo-mean input), plus the
@@ -229,7 +211,10 @@ int main() {
               formatPercent(WorstStatic, 1), formatPercent(BanditRed, 1),
               formatPercent(OracleRed, 1), SwapBuf});
   }
-  std::fclose(Out);
+  const char *OutPath =
+      writeJsonl("TRIDENT_FIG10_OUT", "fig10_selector.jsonl", Jsonl);
+  if (!OutPath)
+    return 1;
   std::printf("selector matrix: %zu cells -> %s\n\n",
               Loads.size() * (PerLoadStatic + 2), OutPath);
   std::printf("exposed-latency reduction vs no-prefetch (same fault plan):\n");

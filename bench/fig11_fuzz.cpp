@@ -1,4 +1,4 @@
-//===- fig11_fuzz.cpp - Figure 11: the fuzzed scenario sweep ---------------===//
+//===- fig11_fuzz.cpp - Figure 11: the fuzzed scenario sweep --------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -41,17 +41,8 @@
 #include <type_traits>
 
 using namespace trident;
-using namespace trident::bench;
 
 namespace {
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-}
 
 /// Draws the knob vector for scenario \p Seed. Every knob independently
 /// keeps its default half the time, so the space covers both the
@@ -89,7 +80,7 @@ std::vector<size_t> rankOrder(const std::vector<double> &Speedups) {
 
 } // namespace
 
-int main() {
+int trident::bench::fig11Fuzz() {
   printHeader("Figure 11", "fuzzed scenarios x arsenal x Trident on/off",
               "no direct paper analogue: out-of-distribution robustness of "
               "the arsenal, plus mix-induced ranking changes");
@@ -158,46 +149,23 @@ int main() {
     return Results[MixBase + MixIdx * Hwpfs.size() + PfIdx];
   };
 
-  const char *OutPath = std::getenv("TRIDENT_FIG11_OUT");
-  if (!OutPath || !*OutPath)
-    OutPath = "fig11_fuzz.jsonl";
-  std::FILE *Out = std::fopen(OutPath, "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath);
-    return 1;
-  }
-
+  std::string Jsonl;
   auto emitLine = [&](const std::string &Scenario, const std::string &Pf,
                       const SimResult &R, int Trident, double Speedup,
                       const std::vector<std::string> &MixWith) {
-    std::string Line = "{\"scenario\":\"";
-    jsonEscapeInto(Line, Scenario);
-    Line += "\",\"hwpf\":\"";
-    jsonEscapeInto(Line, hwPfConfigName(Pf));
-    Line += "\",\"mix\":\"";
+    Jsonl += "{\"scenario\":\"";
+    jsonEscapeInto(Jsonl, Scenario);
+    Jsonl += "\",\"hwpf\":\"";
+    jsonEscapeInto(Jsonl, hwPfConfigName(Pf));
+    Jsonl += "\",\"mix\":\"";
     std::string MixStr;
     for (const std::string &M : MixWith) {
       if (!MixStr.empty())
         MixStr += '+';
       MixStr += M;
     }
-    jsonEscapeInto(Line, MixStr);
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "\",\"trident\":%d,\"ipc\":%.6f,"
-                  "\"speedup_over_none\":%.6f,\"hw_prefetches\":%llu,"
-                  "\"pf_issued\":%llu,\"pf_useful\":%llu,\"pf_late\":%llu,"
-                  "\"demand_misses\":%llu,\"accuracy\":%.6f,"
-                  "\"coverage\":%.6f}",
-                  Trident, R.Ipc, Speedup,
-                  (unsigned long long)R.Mem.HardwarePrefetches,
-                  (unsigned long long)R.PfFeedback.Issued,
-                  (unsigned long long)R.PfFeedback.Useful,
-                  (unsigned long long)R.PfFeedback.Late,
-                  (unsigned long long)R.PfFeedback.DemandMisses,
-                  R.PfFeedback.accuracy(), R.PfFeedback.coverage());
-    Line += Buf;
-    std::fprintf(Out, "%s\n", Line.c_str());
+    jsonEscapeInto(Jsonl, MixStr);
+    appendArsenalCellJson(Jsonl, Trident, R, Speedup);
   };
 
   // Solo matrix records + per-unit speedup series.
@@ -222,7 +190,10 @@ int main() {
       emitLine(Mixes[M].first, Hwpfs[P], *mixCell(M, P), 0,
                speedup(*mixCell(M, P), Base), Mixes[M].second);
   }
-  std::fclose(Out);
+  const char *OutPath =
+      writeJsonl("TRIDENT_FIG11_OUT", "fig11_fuzz.jsonl", Jsonl);
+  if (!OutPath)
+    return 1;
   std::printf("fuzz sweep: %zu scenarios x %zu units x 2 + %zu mix cells "
               "-> %s\n\n",
               Scenarios.size(), Hwpfs.size(), Mixes.size() * Hwpfs.size(),

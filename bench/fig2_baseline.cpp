@@ -1,4 +1,4 @@
-//===- fig2_baseline.cpp - Figure 2: baseline hardware prefetching ---------===//
+//===- fig2_baseline.cpp - Figure 2: baseline hardware prefetching --------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -12,10 +12,7 @@
 
 #include "BenchCommon.h"
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig2Baseline() {
   printHeader("Figure 2", "baseline IPC with hardware stream buffers",
               "4x4 buffers +35% avg over no prefetching; 8x8 +40%; "
               "8x8 adopted as the baseline");

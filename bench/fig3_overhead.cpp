@@ -1,4 +1,4 @@
-//===- fig3_overhead.cpp - Section 5.1 / Figure 3: optimizer overhead ------===//
+//===- fig3_overhead.cpp - Section 5.1 / Figure 3: optimizer overhead -----===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -14,10 +14,7 @@
 
 #include "BenchCommon.h"
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig3Overhead() {
   printHeader("Figure 3 / Section 5.1", "dynamic optimizer overhead",
               "optimize-without-linking costs ~0.6%; helper thread active "
               "~2.2% of cycles; self-repair <= ~25% more activity");

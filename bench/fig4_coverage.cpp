@@ -1,4 +1,4 @@
-//===- fig4_coverage.cpp - Figure 4: load-miss coverage --------------------===//
+//===- fig4_coverage.cpp - Figure 4: load-miss coverage -------------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -12,10 +12,7 @@
 
 #include "BenchCommon.h"
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig4Coverage() {
   printHeader("Figure 4", "% of load misses in hot traces / prefetched",
               ">85% of misses inside traces; ~55% covered by prefetches; "
               "dot and parser low, gap's trace misses nearly all covered");

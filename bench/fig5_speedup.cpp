@@ -1,4 +1,4 @@
-//===- fig5_speedup.cpp - Figure 5: the headline result --------------------===//
+//===- fig5_speedup.cpp - Figure 5: the headline result -------------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -20,10 +20,7 @@
 
 #include "BenchCommon.h"
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig5Speedup() {
   printHeader("Figure 5", "software prefetching speedup over HW baseline",
               "basic ~+11% avg; self-repairing ~+23% avg (about 2x the "
               "basic gain); applu/facerec/fma3d: repair adds nothing");

@@ -1,4 +1,4 @@
-//===- fig6_breakdown.cpp - Figure 6: dynamic-load outcome breakdown -------===//
+//===- fig6_breakdown.cpp - Figure 6: dynamic-load outcome breakdown ------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -12,10 +12,7 @@
 
 #include "BenchCommon.h"
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig6Breakdown() {
   printHeader("Figure 6", "breakdown of all dynamic loads",
               "misses-due-to-prefetch rare; low incidence of partial hits");
 
@@ -42,7 +39,8 @@ int main() {
 
   size_t N = workloadNames().size();
   T.addSeparator();
-  T.addRow({"average", "-", "-", formatPercent(SumPartial / static_cast<double>(N), 1), "-",
+  T.addRow({"average", "-", "-",
+            formatPercent(SumPartial / static_cast<double>(N), 1), "-",
             formatPercent(SumMissPf / static_cast<double>(N), 1)});
   std::printf("%s\n", T.render().c_str());
   std::printf("shape check: the miss-due-to-prefetch column should be near "

@@ -1,4 +1,4 @@
-//===- fig7_sensitivity_window.cpp - Figure 7: DLT threshold sweep ---------===//
+//===- fig7_sensitivity_window.cpp - Figure 7: DLT threshold sweep --------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -15,10 +15,7 @@
 
 #include <cmath>
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig7SensitivityWindow() {
   printHeader("Figure 7", "sensitivity to monitoring window & miss-rate "
                           "threshold (avg over all benchmarks)",
               "3% at a 256-access window works best; 8 misses per window "

@@ -1,4 +1,4 @@
-//===- fig8_sensitivity_dlt.cpp - Figure 8: DLT size sweep -----------------===//
+//===- fig8_sensitivity_dlt.cpp - Figure 8: DLT size sweep ----------------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -15,10 +15,7 @@
 
 #include "BenchCommon.h"
 
-using namespace trident;
-using namespace trident::bench;
-
-int main() {
+int trident::bench::fig8SensitivityDlt() {
   printHeader("Figure 8", "sensitivity to DLT size (entries)",
               "small gains from doubling for most benchmarks; dot/parser "
               "want a large table; 1024 entries suffice");

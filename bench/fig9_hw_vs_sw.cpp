@@ -1,4 +1,4 @@
-//===- fig9_hw_vs_sw.cpp - Figure 9: the prefetcher-arsenal matrix ---------===//
+//===- fig9_hw_vs_sw.cpp - Figure 9: the prefetcher-arsenal matrix --------===//
 //
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
@@ -28,22 +28,7 @@
 #include <algorithm>
 #include <map>
 
-using namespace trident;
-using namespace trident::bench;
-
-namespace {
-
-void jsonEscapeInto(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-}
-
-} // namespace
-
-int main() {
+int trident::bench::fig9HwVsSw() {
   printHeader("Figure 9", "prefetcher arsenal x workloads x Trident on/off",
               "SW-only beats HW-only on most benchmarks (+11% avg more); "
               "HW-only wins on dot/equake/swim; combination best");
@@ -57,7 +42,9 @@ int main() {
       envFilter("TRIDENT_FIG9_WORKLOADS", workloadNames());
 
   // One flat batch: workload-major, then Trident off/on, then prefetcher.
-  // The shared memo-cache dedups the overlap with other figures' jobs.
+  // In a driver run of several figures the shared memo cache serves the
+  // cells fig2 and fig5 already ran (none, sb4x4, sb8x8, self-repairing
+  // sb8x8).
   std::vector<NamedJob> Jobs;
   for (const std::string &Name : Loads) {
     for (int Trident = 0; Trident < 2; ++Trident) {
@@ -77,14 +64,7 @@ int main() {
   };
 
   // JSONL: one record per matrix cell.
-  const char *OutPath = std::getenv("TRIDENT_FIG9_OUT");
-  if (!OutPath || !*OutPath)
-    OutPath = "fig9_arsenal.jsonl";
-  std::FILE *Out = std::fopen(OutPath, "w");
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", OutPath);
-    return 1;
-  }
+  std::string Jsonl;
 
   // Per-prefetcher speedup series for the summary table, keyed by
   // (prefetcher, trident); "none" x trident-on is the SW-only column.
@@ -98,33 +78,21 @@ int main() {
         double Speedup = speedup(R, Base);
         Series[{Hwpfs[P], Trident}].push_back(Speedup);
 
-        std::string Line = "{\"workload\":\"";
-        jsonEscapeInto(Line, Loads[L]);
-        Line += "\",\"hwpf\":\"";
-        jsonEscapeInto(Line, hwPfConfigName(Hwpfs[P]));
-        Line += "\",\"prefetcher\":\"";
-        jsonEscapeInto(Line, R.HwPf.Prefetcher.empty() ? "none"
-                                                       : R.HwPf.Prefetcher);
-        char Buf[256];
-        std::snprintf(Buf, sizeof(Buf),
-                      "\",\"trident\":%d,\"ipc\":%.6f,"
-                      "\"speedup_over_none\":%.6f,\"hw_prefetches\":%llu,"
-                      "\"pf_issued\":%llu,\"pf_useful\":%llu,"
-                      "\"pf_late\":%llu,\"demand_misses\":%llu,"
-                      "\"accuracy\":%.6f,\"coverage\":%.6f}",
-                      Trident, R.Ipc, Speedup,
-                      (unsigned long long)R.Mem.HardwarePrefetches,
-                      (unsigned long long)R.PfFeedback.Issued,
-                      (unsigned long long)R.PfFeedback.Useful,
-                      (unsigned long long)R.PfFeedback.Late,
-                      (unsigned long long)R.PfFeedback.DemandMisses,
-                      R.PfFeedback.accuracy(), R.PfFeedback.coverage());
-        Line += Buf;
-        std::fprintf(Out, "%s\n", Line.c_str());
+        Jsonl += "{\"workload\":\"";
+        jsonEscapeInto(Jsonl, Loads[L]);
+        Jsonl += "\",\"hwpf\":\"";
+        jsonEscapeInto(Jsonl, hwPfConfigName(Hwpfs[P]));
+        Jsonl += "\",\"prefetcher\":\"";
+        jsonEscapeInto(Jsonl, R.HwPf.Prefetcher.empty() ? "none"
+                                                        : R.HwPf.Prefetcher);
+        appendArsenalCellJson(Jsonl, Trident, R, Speedup);
       }
     }
   }
-  std::fclose(Out);
+  const char *OutPath =
+      writeJsonl("TRIDENT_FIG9_OUT", "fig9_arsenal.jsonl", Jsonl);
+  if (!OutPath)
+    return 1;
   std::printf("arsenal matrix: %zu cells -> %s\n\n",
               Loads.size() * PerLoad, OutPath);
 

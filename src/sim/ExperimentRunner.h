@@ -24,8 +24,9 @@
 ///    coalesced, so a batch may list the same (workload, config) pair
 ///    many times at the cost of one simulation; a key repeated by a later
 ///    batch of the same process is a cache hit (fig10's oracle first pass
-///    reuses the static cells the sweep already ran). Each figure bench
-///    is its own process, so nothing is shared between figures.
+///    reuses the static cells the sweep already ran). All figures run in
+///    one trident_figures process, so a cell that an earlier figure ran
+///    is a cache hit for every later one.
 ///
 /// Caveat: the cache trusts the workload *name* to identify the program
 /// and its data image. The 14 named workloads satisfy this; if you build

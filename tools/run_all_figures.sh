@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Builds the repo and runs every figure/ablation binary (fig2-fig11 +
-# ablation) under TRIDENT_BENCH_QUICK=1 (quarter instruction budget) — a
-# CI-sized smoke of the full experimental methodology. Fails if any binary
-# fails; otherwise ends with one line giving the suite's wall, user and sys
-# seconds (the figure binaries only, not the build).
+# Builds the repo and runs every figure/ablation (fig2-fig11 + ablation)
+# under TRIDENT_BENCH_QUICK=1 (quarter instruction budget) — a CI-sized
+# smoke of the full experimental methodology. All figures run in one
+# trident_figures process, so cells that several figures share simulate
+# once. Fails if any figure fails; otherwise ends with one line giving
+# the suite's wall, user and sys seconds (the figures only, not the
+# build).
 #
 # Usage: tools/run_all_figures.sh [build-dir] [--hwpf LIST]
 #   --hwpf LIST          comma list restricting fig9's prefetcher axis
 #                        (exported as TRIDENT_FIG9_HWPF; e.g.
 #                        --hwpf sb8x8,dcpt,tskid); default: full arsenal
-#   TRIDENT_BENCH_JOBS   worker threads per binary (default: all cores)
+#   TRIDENT_BENCH_JOBS   worker threads (default: all cores)
 #   TRIDENT_BENCH_INSTR  override the full per-run budget before quartering
 set -euo pipefail
 
@@ -35,27 +37,9 @@ cmake --build "$BUILD_DIR" -j
 
 export TRIDENT_BENCH_QUICK=1
 
-FIGURES=(
-  fig2_baseline
-  fig3_overhead
-  fig4_coverage
-  fig5_speedup
-  fig6_breakdown
-  fig7_sensitivity_window
-  fig8_sensitivity_dlt
-  fig9_hw_vs_sw
-  fig10_selector
-  fig11_fuzz
-  ablation_adaptivity
-)
-
 TIMEFORMAT='figure suite: wall %R s, user %U s, sys %S s'
 time {
-  for FIG in "${FIGURES[@]}"; do
-    echo
-    echo "### $FIG"
-    "$BUILD_DIR/bench/$FIG"
-  done
+  "$BUILD_DIR/bench/trident_figures"
   echo
   echo "all figures completed."
 }
