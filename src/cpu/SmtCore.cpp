@@ -282,24 +282,24 @@ Cycle SmtCore::executeInstruction(unsigned CtxIdx, Context &C,
   return Done;
 }
 
-bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
-                       Cycle &Wake) {
+SmtCore::IssueResult SmtCore::tryIssue(unsigned CtxIdx, Context &C,
+                                       IssueBudget &B, Cycle &Wake) {
   auto noteWake = [&](Cycle W) {
     if (W > Now && W < Wake)
       Wake = W;
   };
 
   if (B.Total == 0)
-    return false;
+    return IssueResult::Blocked;
 
   // Helper stub: dependency-free single-cycle work.
   if (C.StubMode) {
     if (C.FetchStallUntil > Now) {
       noteWake(C.FetchStallUntil);
-      return false;
+      return IssueResult::TimedStall;
     }
     if (B.Int == 0)
-      return false;
+      return IssueResult::Blocked;
     --B.Total;
     --B.Int;
     if (C.StubRemaining == 0) {
@@ -308,7 +308,7 @@ bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
       if (C.StubDone)
         PendingStubDone.push_back({static_cast<uint8_t>(CtxIdx), C.StubDone});
       C.StubDone = {};
-      return false;
+      return IssueResult::Blocked;
     }
     --C.StubRemaining;
     ++C.Stats.StubInstructions;
@@ -319,14 +319,14 @@ bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
         PendingStubDone.push_back({static_cast<uint8_t>(CtxIdx), C.StubDone});
       C.StubDone = {};
     }
-    return true;
+    return IssueResult::Issued;
   }
 
   if (!C.Active || C.Halted)
-    return false;
+    return IssueResult::Blocked;
   if (C.FetchStallUntil > Now) {
     noteWake(C.FetchStallUntil);
-    return false;
+    return IssueResult::TimedStall;
   }
 
   const Instruction &I = Code.fetch(C.PC);
@@ -348,7 +348,7 @@ bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
     break;
   }
   if (*ClassBudget == 0)
-    return false;
+    return IssueResult::Blocked;
 
   // Data: operands must be ready (in-order issue past this point would
   // reorder the dependence graph). Exception: *synthetic* instructions
@@ -365,7 +365,7 @@ bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
   if (OperandReady > Now) {
     if (!I.Synthetic) {
       noteWake(OperandReady);
-      return false;
+      return IssueResult::TimedStall;
     }
     DeferUntil = OperandReady;
   }
@@ -377,7 +377,7 @@ bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
   purgeRob();
   if (robFull()) {
     noteWake(robEarliest());
-    return false;
+    return IssueResult::TimedStall;
   }
 
   --B.Total;
@@ -413,7 +413,7 @@ bool SmtCore::tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
   }
   if (PubMask & eventMaskOf(EventKind::Commit))
     Bus->publish(HardwareEvent::commit(CtxIdx, PC, I, Now));
-  return true;
+  return IssueResult::Issued;
 }
 
 SmtCore::StopReason SmtCore::run(uint64_t TargetCommits, Cycle CycleLimit) {
@@ -442,16 +442,24 @@ SmtCore::StopReason SmtCore::run(uint64_t TargetCommits, Cycle CycleLimit) {
     Cycle Wake = ~static_cast<Cycle>(0);
     bool AnyIssued = false;
     bool AnyStub = false;
+    // Every live context ended this cycle on a timed stall (see the fold
+    // below).
+    bool AllTimed = true;
 
     // Context 0 (the program) has priority; helper contexts take leftovers.
     for (unsigned CtxIdx = 0; CtxIdx < Ctxs.size(); ++CtxIdx) {
       Context &C = Ctxs[CtxIdx];
+      // An idle context (no program, no stub) can never issue.
+      if (!C.Active && !C.StubMode)
+        continue;
       AnyStub |= C.StubMode;
-      while (tryIssue(CtxIdx, C, B, Wake)) {
+      IssueResult R;
+      while ((R = tryIssue(CtxIdx, C, B, Wake)) == IssueResult::Issued) {
         AnyIssued = true;
         if (CtxIdx == 0 && Main.Stats.CommittedOriginal >= Goal)
           break;
       }
+      AllTimed &= R == IssueResult::TimedStall;
       AnyStub |= C.StubMode;
     }
 
@@ -471,29 +479,40 @@ SmtCore::StopReason SmtCore::run(uint64_t TargetCommits, Cycle CycleLimit) {
         SC.Fn(Now);
       }
       AnyStub = true; // completion cycle counts as helper activity
+      AllTimed = false; // a completion may have changed what can issue
     }
 
     // Advance time. When nothing could issue, skip directly to the next
     // wake-up point (long miss stalls simulate in O(1)).
-    Cycle Prev = Now;
     if (AnyIssued) {
+      if (AnyStub)
+        ++HelperBusy;
       ++Now;
-    } else {
-      if (Wake == ~static_cast<Cycle>(0)) {
-        // Nothing will ever wake this machine up (e.g. all contexts
-        // halted); report a halt to the caller.
-        return StopReason::Halted;
-      }
-      // Cycle-counter monotonicity: noteWake only records strictly-future
-      // cycles, so a skip-ahead must move time forward. A violation here
-      // means some unit reported an event in the past and the whole
-      // timing feedback loop (trace timing vs. miss latency) is suspect.
-      TRIDENT_CHECK(Wake > Now,
-                    "time skip is not monotonic: wake %llu <= now %llu",
-                    (unsigned long long)Wake, (unsigned long long)Now);
-      Now = Wake;
+      // Fold the empty cycle: when every live context stopped on a timed
+      // stall, cycle Now re-fails the same stalls and would skip to the
+      // same Wake, so jump there directly. A spent budget (Blocked), a
+      // completion, a met goal or a halt clears AllTimed; a wake at Now,
+      // or a cycle limit at Now, keeps the per-cycle step.
+      if (!AllTimed || Wake <= Now || Now >= CycleLimit)
+        continue;
+      // The empty cycle's helper activity: a stub still outstanding.
+      AnyStub = false;
+      for (const Context &C : Ctxs)
+        AnyStub |= C.StubMode;
+    } else if (Wake == ~static_cast<Cycle>(0)) {
+      // Nothing will ever wake this machine up (e.g. all contexts
+      // halted); report a halt to the caller.
+      return StopReason::Halted;
     }
+    // Cycle-counter monotonicity: noteWake only records strictly-future
+    // cycles, so a skip-ahead must move time forward. A violation here
+    // means some unit reported an event in the past and the whole
+    // timing feedback loop (trace timing vs. miss latency) is suspect.
+    TRIDENT_CHECK(Wake > Now,
+                  "time skip is not monotonic: wake %llu <= now %llu",
+                  (unsigned long long)Wake, (unsigned long long)Now);
     if (AnyStub)
-      HelperBusy += Now - Prev;
+      HelperBusy += Wake - Now;
+    Now = Wake;
   }
 }

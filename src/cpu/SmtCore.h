@@ -127,6 +127,12 @@ public:
 
   /// Advances simulation until context 0 has committed \p TargetCommits
   /// more original instructions, halts, or \p CycleLimit elapses.
+  ///
+  /// Time steps one cycle after a cycle that issued and otherwise skips to
+  /// the earliest wake. When a cycle issued and every live context then
+  /// stopped on a timed stall, the empty cycle after it is folded into
+  /// that skip; see DESIGN.md, "Quiescence skip-ahead". Like any skip, the
+  /// last one may step past \p CycleLimit.
   StopReason run(uint64_t TargetCommits,
                  Cycle CycleLimit = ~static_cast<Cycle>(0));
 
@@ -163,10 +169,22 @@ private:
     unsigned Mem;
   };
 
-  /// Attempts to issue the next instruction of \p C; returns true if one
-  /// issued. On a structural/data stall, records the wake-up time in
-  /// \p Wake (the earliest cycle the context could progress).
-  bool tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B, Cycle &Wake);
+  /// Why tryIssue() stopped, or that it issued.
+  enum class IssueResult : uint8_t {
+    Issued,
+    /// Stalled until a known cycle, recorded in the caller's Wake: an
+    /// operand wait, a fetch stall, a full ROB or a stub's start-up delay.
+    /// Every cycle before that wake re-fails the same stall.
+    TimedStall,
+    /// Stopped with no wake: the cycle's issue budget ran out, the context
+    /// is idle or halted, or its stub just finished.
+    Blocked,
+  };
+
+  /// Attempts to issue the next instruction of \p C. On a timed stall,
+  /// lowers \p Wake to the earliest cycle the context could progress.
+  IssueResult tryIssue(unsigned CtxIdx, Context &C, IssueBudget &B,
+                       Cycle &Wake);
 
   /// Executes \p I functionally and computes timing; returns completion.
   /// \p EffNow is the cycle the instruction's effects take place — equal to

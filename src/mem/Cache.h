@@ -59,9 +59,10 @@ public:
   /// data arrives; \p Prefetched tags prefetch-initiated fills. If the
   /// insertion displaces a valid demand-touched line *because of a
   /// prefetch*, the victim tag is remembered for pollution attribution.
-  void insert(Addr LineAddr, Cycle FillReady, bool Prefetched);
+  /// Returns the line filled, or the present line whose LRU it refreshed.
+  LineIdx insert(Addr LineAddr, Cycle FillReady, bool Prefetched);
 
-  /// Per-line state accessors for a handle returned by lookup()/peek().
+  /// Per-line state accessors for a handle from lookup()/peek()/insert().
   Cycle fillReady(LineIdx I) const { return FillReadyArr[I]; }
   bool prefetched(LineIdx I) const { return (FlagsArr[I] & kPrefetched) != 0; }
   bool untouched(LineIdx I) const { return (FlagsArr[I] & kUntouched) != 0; }

@@ -6,6 +6,7 @@
 
 #include "mem/DataMemory.h"
 
+#include <algorithm>
 #include <mutex>
 // GCC and Clang both ship this header; without ASan its poisoning macros
 // expand to no-ops.
@@ -111,6 +112,29 @@ void DataMemory::write64(Addr A, uint64_t Value) {
   for (unsigned I = 0; I < 8; ++I) {
     Page &P = getOrCreatePage(A + I);
     P[(A + I) & (PageSize - 1)] = static_cast<uint8_t>(Value >> (8 * I));
+  }
+}
+
+void DataMemory::fillSequence(Addr A, uint64_t Count, uint64_t First,
+                              uint64_t Step) {
+  uint64_t V = First;
+  while (Count != 0) {
+    const size_t Off = A & (PageSize - 1);
+    if (Off + 8 > PageSize) {
+      // A word straddling two pages.
+      write64(A, V);
+      A += 8;
+      V += Step;
+      --Count;
+      continue;
+    }
+    // Every whole word left in this page, behind one page lookup.
+    const uint64_t N = std::min<uint64_t>(Count, (PageSize - Off) / 8);
+    uint8_t *Dst = getOrCreatePage(A).data() + Off;
+    for (uint64_t I = 0; I < N; ++I, Dst += 8, V += Step)
+      std::memcpy(Dst, &V, 8);
+    A += N * 8;
+    Count -= N;
   }
 }
 

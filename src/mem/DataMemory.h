@@ -41,6 +41,11 @@ public:
   /// Writes a 64-bit little-endian value, materializing pages as needed.
   void write64(Addr A, uint64_t Value);
 
+  /// Writes \p Count consecutive 64-bit words from \p A: word I is
+  /// \p First + I * \p Step. The same bytes as the write64() loop, with one
+  /// page lookup per page instead of one per word (image building).
+  void fillSequence(Addr A, uint64_t Count, uint64_t First, uint64_t Step);
+
   /// Number of materialized 4KB pages (footprint introspection for tests).
   size_t numPages() const { return NumPages; }
 

@@ -34,8 +34,8 @@
 /// Failures print the expression, location, and formatted message to
 /// stderr and abort(), so death tests and sanitizers both see them.
 /// Checks never alter simulated timing: they observe state, they do not
-/// advance it (the figure-harness bit-identity test in
-/// tools/run_all_figures.sh relies on this).
+/// advance it (the bit-identity tests experiment_runner_test,
+/// sweep_identity_test and trident_figures_test rely on this).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -94,8 +94,7 @@ Addr trident::buildRunShuffledList(DataMemory &Mem, Addr Base,
 void trident::buildPointerArray(DataMemory &Mem, Addr ArrayBase,
                                 uint64_t Count, Addr Target,
                                 uint64_t Stride) {
-  for (uint64_t I = 0; I < Count; ++I)
-    Mem.write64(ArrayBase + I * 8, Target + I * Stride);
+  Mem.fillSequence(ArrayBase, Count, Target, Stride);
 }
 
 //===----------------------------------------------------------------------===//

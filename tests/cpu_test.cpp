@@ -325,3 +325,101 @@ TEST(SmtCore, ClearStatsKeepsMachineState) {
   EXPECT_EQ(M.Core->stats(0).CommittedOriginal, 0u);
   EXPECT_EQ(M.Core->getReg(0, 1), 42u); // registers survive
 }
+
+// The run loop folds the empty cycle after an issuing cycle into the
+// following skip when every live context stopped on a timed stall. These
+// pin each edge of that fold to the cycle counts of the per-cycle loop.
+
+namespace {
+/// loadImm; a cold load (cycle 1); a dependent add that stalls on it.
+Program coldLoadThenDependent() {
+  ProgramBuilder B;
+  B.loadImm(1, 0x100000);
+  B.load(2, 1, 0);
+  B.alu(Opcode::Add, 3, 2, 2);
+  B.halt();
+  return B.finish();
+}
+} // namespace
+
+TEST(SmtCoreFold, CycleLimitOneCycleAfterIssue) {
+  // The load issues in cycle 1 and the add then waits on it: a limit at
+  // cycle 2 stops there, not at the load's wake.
+  {
+    Machine M(coldLoadThenDependent());
+    EXPECT_EQ(M.Core->run(~0ull, /*CycleLimit=*/2),
+              SmtCore::StopReason::CycleLimit);
+    EXPECT_EQ(M.Core->now(), 2u);
+  }
+  // One cycle later the empty cycle 2 skips to the wake, past the limit.
+  {
+    Machine M(coldLoadThenDependent());
+    EXPECT_EQ(M.Core->run(~0ull, /*CycleLimit=*/3),
+              SmtCore::StopReason::CycleLimit);
+    EXPECT_EQ(M.Core->now(), 354u);
+  }
+  Machine M(coldLoadThenDependent());
+  EXPECT_EQ(M.run(), SmtCore::StopReason::Halted);
+  EXPECT_EQ(M.Core->now(), 355u);
+}
+
+TEST(SmtCoreFold, StubStartupEndsWhileMainStalls) {
+  // Three dependent cold loads keep context 0 stalled for long stretches;
+  // the stub's start-up delay ends inside the first one.
+  ProgramBuilder B;
+  B.loadImm(1, 0x100000);
+  for (int I = 0; I < 3; ++I) {
+    B.load(2, 1, 0);
+    B.alu(Opcode::Add, 1, 1, 2);
+    B.addi(1, 1, 4096);
+  }
+  B.halt();
+  Machine M(B.finish());
+  Cycle DoneAt = 0;
+  M.Core->startStub(1, /*Instructions=*/30, /*StartupDelay=*/100,
+                    {[](void *P, Cycle C) { *static_cast<Cycle *>(P) = C; },
+                     &DoneAt});
+  EXPECT_EQ(M.run(), SmtCore::StopReason::Halted);
+  EXPECT_EQ(DoneAt, 107u);
+  EXPECT_EQ(M.Core->helperBusyCycles(), 108u);
+  EXPECT_EQ(M.Core->now(), 1066u);
+  EXPECT_EQ(M.Core->stats(1).StubInstructions, 30u);
+}
+
+TEST(SmtCoreFold, MispredictStallRightAfterIssue) {
+  // A loop whose exit branch the predictor gets wrong: the branch issues
+  // and its fetch stall starts in the same cycle.
+  ProgramBuilder B;
+  B.loadImm(1, 0).loadImm(2, 7);
+  B.label("loop");
+  B.addi(1, 1, 1);
+  B.aluImm(Opcode::AndI, 3, 1, 2);
+  B.beq(3, 0, "skip");
+  B.addi(4, 4, 1);
+  B.label("skip");
+  B.blt(1, 2, "loop");
+  B.halt();
+  Machine M(B.finish());
+  MetaPredictor BP;
+  M.Core->setBranchPredictor(&BP);
+  EXPECT_EQ(M.run(), SmtCore::StopReason::Halted);
+  EXPECT_EQ(M.Core->stats(0).BranchMispredicts, 5u);
+  EXPECT_EQ(M.Core->now(), 116u);
+  EXPECT_EQ(M.Core->getReg(0, 4), 4u);
+}
+
+TEST(SmtCoreFold, RobFullStall) {
+  // Eight independent cold loads into a 4-entry ROB: issue stops on a
+  // full ROB until the oldest load completes.
+  CoreConfig CC = CoreConfig::baseline();
+  CC.RobSize = 4;
+  ProgramBuilder B;
+  B.loadImm(1, 0x100000);
+  for (int I = 0; I < 8; ++I)
+    B.load(10 + I, 1, I * 4096);
+  B.halt();
+  Machine M(B.finish(), CC);
+  EXPECT_EQ(M.run(), SmtCore::StopReason::Halted);
+  EXPECT_EQ(M.Core->now(), 708u);
+  EXPECT_EQ(M.Core->stats(0).CommittedOriginal, 10u);
+}

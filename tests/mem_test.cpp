@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace trident;
@@ -122,6 +123,59 @@ TEST(DataMemory, PageStraddlingAccessWithEitherPageMissing) {
   }
 }
 
+namespace {
+/// Builds one image with fillSequence and one with the equivalent write64
+/// loop, after the same \p Pre writes, and checks that every byte from a
+/// page below \p Base to a page past the range reads the same in both.
+void expectFillMatchesLoop(Addr Base, uint64_t Count, uint64_t First,
+                           uint64_t Step,
+                           const std::vector<std::pair<Addr, uint64_t>> &Pre =
+                               {}) {
+  DataMemory Bulk, Loop;
+  for (const auto &[A, V] : Pre) {
+    Bulk.write64(A, V);
+    Loop.write64(A, V);
+  }
+  Bulk.fillSequence(Base, Count, First, Step);
+  for (uint64_t I = 0; I < Count; ++I)
+    Loop.write64(Base + I * 8, First + I * Step);
+  EXPECT_EQ(Bulk.numPages(), Loop.numPages());
+  const Addr Lo = Base - DataMemory::PageSize;
+  const Addr Hi = Base + Count * 8 + DataMemory::PageSize;
+  for (Addr A = Lo; A < Hi; ++A)
+    ASSERT_EQ(Bulk.read64(A) & 0xff, Loop.read64(A) & 0xff)
+        << "byte 0x" << std::hex << A;
+}
+} // namespace
+
+TEST(DataMemory, FillSequenceAlignedBase) {
+  // 1500 words over three pages.
+  expectFillMatchesLoop(0x10000, 1500, 0x20000000, 64);
+}
+
+TEST(DataMemory, FillSequenceUnalignedBaseStraddlesPage) {
+  // Word 10 starts 3 bytes before a page boundary.
+  const Addr Base = 5 * DataMemory::PageSize - 83;
+  expectFillMatchesLoop(Base, 40, 0x0102030405060708ull,
+                        0x1111111111111111ull);
+}
+
+TEST(DataMemory, FillSequenceOfZeroWordsTouchesNothing) {
+  DataMemory M;
+  M.fillSequence(0x10000, 0, 7, 8);
+  EXPECT_EQ(M.numPages(), 0u);
+  expectFillMatchesLoop(0x10000, 0, 7, 8);
+}
+
+TEST(DataMemory, FillSequenceIntoMaterializedPage) {
+  // The range starts mid-page in a page that already holds words on both
+  // sides of it, and runs into the next page.
+  const Addr Page = 9 * DataMemory::PageSize;
+  expectFillMatchesLoop(Page + 1024, 600, 3, 5,
+                        {{Page + 8, 0xAAAAu}, {Page + 1016, 0xBBBBu},
+                         {Page + 1024, 0xCCCCu}});
+}
+
 TEST(DataMemory, ThreadsRecycleSlabsSafely) {
   // Each worker builds, checks and destroys images that span two slabs,
   // so slabs pass between threads through the shared free list.
@@ -209,6 +263,15 @@ TEST(Cache, UntouchedBitSemantics) {
   ASSERT_NE(L, Cache::NoLine);
   EXPECT_TRUE(C.prefetched(L));
   EXPECT_TRUE(C.untouched(L));
+}
+
+TEST(Cache, InsertReturnsTheFilledLine) {
+  Cache C(tinyCache());
+  const Cache::LineIdx Filled = C.insert(0x1000, 5, /*Prefetched=*/true);
+  EXPECT_EQ(Filled, C.peek(0x1000));
+  EXPECT_TRUE(C.untouched(Filled));
+  // A refill of the present line returns that line.
+  EXPECT_EQ(C.insert(0x1000, 99, false), Filled);
 }
 
 TEST(Cache, ResetInvalidatesEverything) {

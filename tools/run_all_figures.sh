@@ -33,7 +33,8 @@ while [[ $# -gt 0 ]]; do
 done
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
-cmake --build "$BUILD_DIR" -j
+# One compile job per CPU: an unbounded -j runs a compiler per target at once.
+cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 export TRIDENT_BENCH_QUICK=1
 
