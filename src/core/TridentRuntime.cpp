@@ -186,13 +186,26 @@ void TridentRuntime::onPhaseChange() {
 void TridentRuntime::attach(EventBus &B) {
   TRIDENT_CHECK(Bus == nullptr, "runtime already attached to a bus");
   Bus = &B;
-  // Commit subscriber order is load-bearing: the watch table's excursion
-  // tracking ran before profiler training inside the old monolithic
-  // listener, and per-kind dispatch order equals subscription order.
-  B.subscribe(&WatchSub, eventMaskOf(EventKind::Commit));
-  B.subscribe(&ProfilerSub,
-              eventMaskOf(EventKind::Commit) | eventMaskOf(EventKind::Branch));
-  B.subscribe(&DltSub, eventMaskOf(EventKind::LoadOutcome));
+  B.subscribe(this, eventMaskOf(EventKind::Commit) |
+                        eventMaskOf(EventKind::Branch) |
+                        eventMaskOf(EventKind::LoadOutcome));
+}
+
+void TridentRuntime::onEvent(const HardwareEvent &E) {
+  switch (E.Kind) {
+  case EventKind::Commit:
+    handleWatchCommit(E);
+    handleProfilerCommit(E);
+    break;
+  case EventKind::Branch:
+    handleProfilerBranch(E);
+    break;
+  case EventKind::LoadOutcome:
+    handleLoad(E);
+    break;
+  default:
+    TRIDENT_UNREACHABLE("runtime received an unsubscribed event kind");
+  }
 }
 
 void TridentRuntime::handleWatchCommit(const HardwareEvent &Ev) {
@@ -305,9 +318,9 @@ void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
     ++Stats.LoadMissesTotal;
     if (InTrace) {
       ++Stats.LoadMissesInTraces;
-      uint32_t Tid = CC.traceIdAt(PC);
-      if (Traces[Tid].LoadPCToBaseIdx.count(PC) &&
-          Traces[Tid].Plan.groupCovering(Traces[Tid].LoadPCToBaseIdx[PC]))
+      TraceMeta &M = Traces[CC.traceIdAt(PC)];
+      auto It = M.LoadPCToBaseIdx.find(PC);
+      if (It != M.LoadPCToBaseIdx.end() && M.Plan.groupCovering(It->second))
         ++Stats.LoadMissesCovered;
     }
   }
@@ -384,11 +397,14 @@ void TridentRuntime::onStubDone(void *Self, Cycle) {
   static_cast<TridentRuntime *>(Self)->finishPendingWork();
 }
 
-TridentRuntime::PendingWork &TridentRuntime::parkWork(PendingWork::Kind K) {
+void TridentRuntime::launchHelper(PendingWork W, uint64_t Work) {
   TRIDENT_DCHECK(Pending.WorkKind == PendingWork::Kind::None,
                  "helper work parked while another unit is in flight");
-  Pending.WorkKind = K;
-  return Pending;
+  Registration.HelperActive = true;
+  ++Registration.Invocations;
+  Pending = std::move(W);
+  Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
+                 {&TridentRuntime::onStubDone, this});
 }
 
 void TridentRuntime::finishPendingWork() {
@@ -417,10 +433,6 @@ void TridentRuntime::finishPendingWork() {
   dispatchNext();
 }
 
-/// Marks a helper invocation in the registration structure (all stub
-/// launches funnel through the two start*Work paths and beginInsertion).
-#define TRIDENT_NOTE_HELPER_SPAWN()                                             do {                                                                            Registration.HelperActive = true;                                             ++Registration.Invocations;                                                 } while (0)
-
 void TridentRuntime::startHotTraceWork(const HotTraceCandidate &Cand) {
   std::optional<Trace> T =
       Builder.build(Prog, Cand, static_cast<uint32_t>(Traces.size()));
@@ -429,11 +441,9 @@ void TridentRuntime::startHotTraceWork(const HotTraceCandidate &Cand) {
     return;
   }
   uint64_t Work = Config.Cost.traceFormation(static_cast<unsigned>(T->size()));
-  Registration.HelperActive = true;
-  ++Registration.Invocations;
-  parkWork(PendingWork::Kind::Formation).FormedTrace = std::move(*T);
-  Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                 {&TridentRuntime::onStubDone, this});
+  launchHelper({.WorkKind = PendingWork::Kind::Formation,
+                .FormedTrace = std::move(*T)},
+               Work);
 }
 
 void TridentRuntime::finishTraceFormation(Trace T) {
@@ -460,7 +470,6 @@ void TridentRuntime::installBody(TraceMeta &M,
                                  const std::vector<unsigned> &OldToNew,
                                  const std::vector<unsigned> &PatchSlots) {
   bool Reinstall = M.CacheAddr != 0;
-  Addr PrevHead = M.CacheAddr;
   M.CacheAddr = CC.install(Body, M.Id);
   M.Installs.emplace_back(M.CacheAddr, Body.size());
 
@@ -488,7 +497,6 @@ void TridentRuntime::installBody(TraceMeta &M,
     for (size_t R = 0; R + 1 < M.Installs.size(); ++R)
       retarget(M.Installs[R].first, M.Installs[R].second,
                /*OldHead=*/M.Installs[R].first);
-  (void)PrevHead;
 
   M.OldToNew = OldToNew;
   M.PrefetchSlotAddrs.assign(PatchSlots.size(), 0);
@@ -634,26 +642,19 @@ void TridentRuntime::startDelinquentWork(Addr LoadPC, uint32_t TraceId) {
                      Config.Mode == PrefetchMode::SelfRepairing;
     if (CanRepair) {
       unsigned N = static_cast<unsigned>(G->CoveredLoadIdxs.size());
-      uint64_t Work = Config.Cost.repair(N);
-      unsigned BaseIdx = It->second;
-      TRIDENT_NOTE_HELPER_SPAWN();
-      PendingWork &W = parkWork(PendingWork::Kind::Repair);
-      W.TraceId = TraceId;
-      W.BaseIdx = BaseIdx;
-      W.LoadPC = LoadPC;
-      Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                     {&TridentRuntime::onStubDone, this});
+      launchHelper({.WorkKind = PendingWork::Kind::Repair,
+                    .TraceId = TraceId,
+                    .BaseIdx = It->second,
+                    .LoadPC = LoadPC},
+                   Config.Cost.repair(N));
       return;
     }
     // Covered but not repairable (pointer-only group, or a fixed-distance
     // mode): mark mature so it stops raising events (Section 3.5.2).
-    uint64_t Work = Config.Cost.repair(1);
-    TRIDENT_NOTE_HELPER_SPAWN();
-    PendingWork &W = parkWork(PendingWork::Kind::Mature);
-    W.TraceId = TraceId;
-    W.LoadPC = LoadPC;
-    Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                   {&TridentRuntime::onStubDone, this});
+    launchHelper({.WorkKind = PendingWork::Kind::Mature,
+                  .TraceId = TraceId,
+                  .LoadPC = LoadPC},
+                 Config.Cost.repair(1));
     return;
   }
 
@@ -714,14 +715,10 @@ void TridentRuntime::beginInsertion(TraceMeta &M, Addr TriggerPC) {
   if (Covered == 0 && NewPlan.UncoverableLoadIdxs.size() == PrevUncoverable) {
     // Nothing new to do (e.g. the trigger load's window cleared between
     // event and dispatch): mature the trigger so it stops firing.
-    uint32_t TraceId = M.Id;
-    TRIDENT_NOTE_HELPER_SPAWN();
-    PendingWork &W = parkWork(PendingWork::Kind::Mature);
-    W.TraceId = TraceId;
-    W.LoadPC = TriggerPC;
-    Core.startStub(Config.HelperCtx, Config.Cost.repair(1),
-                   Config.Cost.StartupCycles,
-                   {&TridentRuntime::onStubDone, this});
+    launchHelper({.WorkKind = PendingWork::Kind::Mature,
+                  .TraceId = M.Id,
+                  .LoadPC = TriggerPC},
+                 Config.Cost.repair(1));
     return;
   }
 
@@ -729,15 +726,12 @@ void TridentRuntime::beginInsertion(TraceMeta &M, Addr TriggerPC) {
   uint64_t Work = Config.Cost.prefetchInsertion(
       static_cast<unsigned>(M.BaseBody.size()),
       static_cast<unsigned>(Loads.size()));
-  uint32_t TraceId = M.Id;
-  TRIDENT_NOTE_HELPER_SPAWN();
-  PendingWork &W = parkWork(PendingWork::Kind::Insertion);
-  W.TraceId = TraceId;
-  W.Plan = std::move(NewPlan);
-  W.Emission = std::move(Emission);
-  W.ClearPCs = std::move(ClearPCs);
-  Core.startStub(Config.HelperCtx, Work, Config.Cost.StartupCycles,
-                 {&TridentRuntime::onStubDone, this});
+  launchHelper({.WorkKind = PendingWork::Kind::Insertion,
+                .Plan = std::move(NewPlan),
+                .Emission = std::move(Emission),
+                .ClearPCs = std::move(ClearPCs),
+                .TraceId = M.Id},
+               Work);
 }
 
 void TridentRuntime::finishInsertion(uint32_t TraceId, PrefetchPlan NewPlan,
@@ -806,20 +800,14 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
   if (LS->LastAvgAccessLatency >= 0.0 && CurAvg > 0.0 &&
       (CurAvg + 25.0) * 4.0 < LS->LastAvgAccessLatency) {
     ++Stats.RegimeShiftsDetected;
-    G->Distance = Config.SelfRepairInitialEstimate
-                      ? estimateDistance(M, LoadPC)
-                      : 1;
+    setDistance(M, *G,
+                Config.SelfRepairInitialEstimate ? estimateDistance(M, LoadPC)
+                                                 : 1);
     LS->RepairsLeft = std::max(LS->RepairsLeft, 2 * G->MaxDistance);
     LS->LastAvgAccessLatency = -1.0;
     LS->BestAvgAccessLatency = -1.0;
     LS->BestDistance = G->Distance;
     LS->LastMove = +1;
-    for (size_t PI : G->PrefetchIdxs) {
-      Addr Slot = M.PrefetchSlotAddrs[PI];
-      if (Slot != 0)
-        CC.at(Slot).Imm =
-            PrefetchPlanner::immediateFor(M.Plan.Prefetches[PI], G->Distance);
-    }
     ++Stats.RepairOptimizations;
     Stats.LastRepairDistance = G->Distance;
     TRIDENT_DBG("[trident] regime shift trace=%u load=0x%llx avg=%.1f "
@@ -849,18 +837,9 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
       HaveHistory && CurAvg < LS->LastAvgAccessLatency * 0.95 - 1.0;
   int Move = LS->LastMove < 0 ? (ClearlyBetter ? -1 : +1)
                               : (ClearlyWorse ? -1 : +1);
-  G->Distance = std::clamp(G->Distance + Move, 1, G->MaxDistance);
+  setDistance(M, *G, std::clamp(G->Distance + Move, 1, G->MaxDistance));
   LS->LastMove = Move;
   LS->LastAvgAccessLatency = CurAvg;
-
-  // Patch the prefetch instruction bits in place — no trace regeneration.
-  for (size_t PI : G->PrefetchIdxs) {
-    Addr Slot = M.PrefetchSlotAddrs[PI];
-    if (Slot == 0)
-      continue;
-    CC.at(Slot).Imm =
-        PrefetchPlanner::immediateFor(M.Plan.Prefetches[PI], G->Distance);
-  }
   ++Stats.RepairOptimizations;
   Stats.LastRepairDistance = G->Distance;
   TRIDENT_DBG("[trident] repair trace=%u load=0x%llx avg=%.1f dist %d -> %d "
@@ -872,15 +851,8 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
     // Budget spent: settle on the best distance this load observed, then
     // stop raising events for it.
     LS->Mature = true;
-    if (LS->BestDistance != G->Distance) {
-      G->Distance = LS->BestDistance;
-      for (size_t PI : G->PrefetchIdxs) {
-        Addr Slot = M.PrefetchSlotAddrs[PI];
-        if (Slot != 0)
-          CC.at(Slot).Imm = PrefetchPlanner::immediateFor(
-              M.Plan.Prefetches[PI], G->Distance);
-      }
-    }
+    if (LS->BestDistance != G->Distance)
+      setDistance(M, *G, LS->BestDistance);
     Dlt.forceMature(LoadPC);
     ++Stats.LoadsMatured;
     TRIDENT_DBG("[trident] matured load=0x%llx (budget spent; settled at "
@@ -890,6 +862,13 @@ void TridentRuntime::finishRepair(uint32_t TraceId, unsigned BaseIdx,
 
   Dlt.clearWindow(LoadPC);
   clearOptFlag(TraceId);
+}
+
+void TridentRuntime::setDistance(TraceMeta &M, PrefetchGroup &G, int D) {
+  G.Distance = D;
+  for (size_t PI : G.PrefetchIdxs)
+    if (Addr Slot = M.PrefetchSlotAddrs[PI])
+      CC.at(Slot).Imm = PrefetchPlanner::immediateFor(M.Plan.Prefetches[PI], D);
 }
 
 void TridentRuntime::finishMature(uint32_t TraceId, Addr LoadPC) {

@@ -8,8 +8,9 @@
 /// The Trident runtime extended with the self-repairing prefetcher — the
 /// orchestrator of the whole paper:
 ///
-///  * observes the commit stream of the main thread (its monitors are
-///    independent EventBus subscribers; see attach()),
+///  * observes the commit stream of the main thread (one EventBus
+///    subscriber feeding its watch table, branch profiler and DLT; see
+///    attach()),
 ///  * detects hot traces (branch profiler), forms and links them
 ///    (trace builder, code cache, binary patcher, watch table),
 ///  * monitors hot-trace loads in the DLT; delinquent-load events spawn
@@ -154,7 +155,7 @@ struct RuntimeStats {
   void registerInto(StatRegistry &R, const std::string &Prefix) const;
 };
 
-class TridentRuntime final {
+class TridentRuntime final : public EventSubscriber {
 public:
   TridentRuntime(const RuntimeConfig &Config, Program &Prog, SmtCore &Core,
                  CodeCache &CC);
@@ -163,17 +164,16 @@ public:
   void setEnabled(bool E) { Enabled = E; }
   bool enabled() const { return Enabled; }
 
-  /// Subscribes the runtime's hardware monitors to \p B, each as an
-  /// independent subscriber: the watch table (Commit), the branch
-  /// profiler (Commit + Branch), and the DLT (LoadOutcome). Subscription
-  /// order is load-bearing: the watch table's excursion tracking ran
-  /// before profiler training inside the old monolithic listener, and
-  /// the bus dispatches Commit subscribers in exactly this order.
-  ///
+  /// Subscribes the runtime to \p B for Commit, Branch and LoadOutcome.
   /// The runtime also publishes its filtered events (HotTrace,
   /// DelinquentLoad) and the TraceEntry/TraceExit excursion markers back
   /// into \p B for observability sinks.
   void attach(EventBus &B);
+
+  /// Feeds the monitors: a Commit goes to the watch table's excursion
+  /// tracking, then to profiler training (this order is load-bearing); a
+  /// Branch to the profiler; a LoadOutcome to the DLT.
+  void onEvent(const HardwareEvent &E) override;
 
   const RuntimeStats &stats() const { return Stats; }
   void clearStats() {
@@ -233,29 +233,6 @@ private:
     bool Invalidated = false;
   };
 
-  // Subscriber adapters: each monitor appears on the bus as its own
-  // subscriber, forwarding into the runtime that owns the shared state.
-  struct WatchSubscriber final : EventSubscriber {
-    TridentRuntime &R;
-    explicit WatchSubscriber(TridentRuntime &Rt) : R(Rt) {}
-    void onEvent(const HardwareEvent &E) override { R.handleWatchCommit(E); }
-  };
-  struct ProfilerSubscriber final : EventSubscriber {
-    TridentRuntime &R;
-    explicit ProfilerSubscriber(TridentRuntime &Rt) : R(Rt) {}
-    void onEvent(const HardwareEvent &E) override {
-      if (E.Kind == EventKind::Branch)
-        R.handleProfilerBranch(E);
-      else
-        R.handleProfilerCommit(E);
-    }
-  };
-  struct DltSubscriber final : EventSubscriber {
-    TridentRuntime &R;
-    explicit DltSubscriber(TridentRuntime &Rt) : R(Rt) {}
-    void onEvent(const HardwareEvent &E) override { R.handleLoad(E); }
-  };
-
   void handleWatchCommit(const HardwareEvent &E);
   void handleProfilerCommit(const HardwareEvent &E);
   void handleProfilerBranch(const HardwareEvent &E);
@@ -266,7 +243,7 @@ private:
   void startHotTraceWork(const HotTraceCandidate &Cand);
   void startDelinquentWork(Addr LoadPC, uint32_t TraceId);
 
-  /// Parks the arguments of the helper-thread work whose costed stub is
+  /// The arguments of the helper-thread work whose costed stub is
   /// currently running on the spare context; the stub-completion
   /// trampoline consumes it. One slot suffices because dispatchNext gates
   /// new work on Core.stubActive, so at most one helper stub is in flight
@@ -275,20 +252,22 @@ private:
   struct PendingWork {
     enum class Kind : uint8_t { None, Formation, Insertion, Repair, Mature };
     Kind WorkKind = Kind::None;
-    Trace FormedTrace;          ///< Formation
-    PrefetchPlan Plan;          ///< Insertion
-    PlanEmission Emission;      ///< Insertion
-    std::vector<Addr> ClearPCs; ///< Insertion
-    uint32_t TraceId = 0;       ///< Insertion / Repair / Mature
-    unsigned BaseIdx = 0;       ///< Repair
-    Addr LoadPC = 0;            ///< Repair / Mature
+    Trace FormedTrace{};          ///< Formation
+    PrefetchPlan Plan{};          ///< Insertion
+    PlanEmission Emission{};      ///< Insertion
+    std::vector<Addr> ClearPCs{}; ///< Insertion
+    uint32_t TraceId = 0;         ///< Insertion / Repair / Mature
+    unsigned BaseIdx = 0;         ///< Repair
+    Addr LoadPC = 0;              ///< Repair / Mature
   };
 
+  /// Spawns the helper thread: marks it in the registration structure,
+  /// parks \p W in the (empty) pending slot, and starts a stub of \p Work
+  /// cycles on the spare context.
+  void launchHelper(PendingWork W, uint64_t Work);
   /// SmtCore stub-completion trampoline (Ctx is the TridentRuntime).
   static void onStubDone(void *Self, Cycle C);
   void finishPendingWork();
-  /// Claims the (empty) pending slot for work of kind \p K.
-  PendingWork &parkWork(PendingWork::Kind K);
 
   void finishTraceFormation(Trace T);
   void beginInsertion(TraceMeta &M, Addr TriggerPC);
@@ -297,6 +276,9 @@ private:
                        std::vector<Addr> ClearPCs);
   void finishRepair(uint32_t TraceId, unsigned BaseIdx, Addr LoadPC);
   void finishMature(uint32_t TraceId, Addr LoadPC);
+  /// Sets \p G's distance to \p D and patches the immediates of its
+  /// installed prefetch slots in place — no trace regeneration.
+  void setDistance(TraceMeta &M, PrefetchGroup &G, int D);
 
   /// Installs \p Body for \p M (allocating code cache space, repatching the
   /// entry jump, refreshing the watch table and PC maps).
@@ -332,9 +314,6 @@ private:
   bool Enabled = false;
 
   EventBus *Bus = nullptr;
-  WatchSubscriber WatchSub{*this};
-  ProfilerSubscriber ProfilerSub{*this};
-  DltSubscriber DltSub{*this};
 
   // Per-main-context trace excursion tracking (iteration timing).
   uint32_t CurTraceId = ~0u;

@@ -7,19 +7,21 @@
 /// \file
 /// The bus that replaces the old single hard-wired CoreListener hook.
 /// SmtCore publishes typed HardwareEvents into the bus; any number of
-/// subscribers — the Trident runtime's monitor structures (branch
-/// profiler, watch table, DLT), the ring-buffered event tracer, future
-/// prefetch backends — receive exactly the kinds they asked for.
+/// subscribers — the Trident runtime (whose watch table, branch profiler
+/// and DLT read the commit stream), the selector's phase monitor, the
+/// fault injector, the ring-buffered event tracer — receive exactly the
+/// kinds they asked for.
 ///
 /// Dispatch contract (load-bearing for bit-identical reproduction):
 ///
-///  * Per kind, subscribers are invoked in subscription order. The
-///    Trident runtime relies on this to preserve the exact intra-commit
-///    ordering the old monolithic listener had (watch-table excursion
-///    tracking before profiler training).
+///  * Per kind, subscribers are invoked in subscription order; the
+///    Machine constructor is the one place that fixes it.
 ///  * publish() is synchronous and reentrant: a subscriber may publish
 ///    further events (the runtime turns a Commit into a HotTrace event),
-///    but must not subscribe/unsubscribe during a dispatch.
+///    but must not subscribe/unsubscribe during a dispatch. A nested
+///    event reaches every subscriber before the outer event reaches the
+///    later ones, so a tracer subscribed last records events in arrival
+///    order (a TraceEntry before the Commit that raised it).
 ///  * The bus itself adds no timing: events describe the machine, they
 ///    never advance it.
 ///
@@ -52,11 +54,6 @@ public:
 
 class EventBus {
 public:
-  /// Staged events per deferred-dispatch block. Sized so a block spans a
-  /// few hundred commits: the flush loop then tests each kind's
-  /// subscriber list once per block instead of once per event.
-  static constexpr size_t kStagingBlock = 256;
-
   /// Registers \p S for every kind set in \p Mask. Per kind, dispatch
   /// order equals subscription order. Must not be called from inside a
   /// publish() dispatch.
@@ -68,74 +65,20 @@ public:
     Active |= Mask & kAllEventsMask;
   }
 
-  /// Registers \p S for *deferred* batched dispatch of the kinds in
-  /// \p Mask. Staged events are deep copies (Insn/Access snapshotted by
-  /// value) delivered at the next flush() — when the staging block fills
-  /// or the owner flushes explicitly — in kind-order batches: for each
-  /// kind in EventKind order, every staged event of that kind in arrival
-  /// order, to each deferred subscriber in subscription order. Strictly
-  /// for passive sinks (tracing/observability): deferred subscribers see
-  /// events after the machine has moved on and must not mutate anything.
-  void subscribeDeferred(EventSubscriber *S, EventKindMask Mask) {
-    TRIDENT_CHECK(S != nullptr, "null subscriber");
-    for (unsigned K = 0; K < kNumEventKinds; ++K)
-      if (Mask & (EventKindMask{1} << K))
-        DeferredByKind[K].push_back(S); // trident-lint: alloc-ok(setup)
-    DeferredMask |= Mask & kAllEventsMask;
-    Active |= Mask & kAllEventsMask;
-    if (Staged.capacity() < kStagingBlock)
-      Staged.reserve(kStagingBlock); // trident-lint: alloc-ok(setup)
-  }
-
   /// Union of every subscriber's kind mask. Publishers test this before
   /// constructing an event.
   EventKindMask activeMask() const { return Active; }
   bool anyFor(EventKind K) const { return (Active & eventMaskOf(K)) != 0; }
 
   /// Synchronously delivers \p E to every subscriber of its kind, in
-  /// subscription order, and counts the publish. Deferred subscribers of
-  /// the kind get a staged copy instead; the count covers both.
+  /// subscription order, and counts the publish.
   void publish(const HardwareEvent &E) {
     const auto K = static_cast<size_t>(E.Kind);
     TRIDENT_DCHECK(K < kNumEventKinds, "publishing a bad event kind %zu", K);
     ++Published[K];
     for (EventSubscriber *S : ByKind[K])
       S->onEvent(E);
-    if (DeferredMask & (EventKindMask{1} << K))
-      stage(E);
   }
-
-  /// Delivers every staged event to the deferred subscribers (kind-order
-  /// batches, see subscribeDeferred) and empties the staging block. The
-  /// owner must flush before reading a deferred sink's state (e.g. the
-  /// tracer ring at snapshot time).
-  void flush() {
-    if (Staged.empty())
-      return;
-    TRIDENT_DCHECK(!Flushing, "reentrant EventBus flush");
-    Flushing = true;
-    for (unsigned K = 0; K < kNumEventKinds; ++K) {
-      const std::vector<EventSubscriber *> &Subs = DeferredByKind[K];
-      if (Subs.empty())
-        continue;
-      for (StagedEvent &SE : Staged) {
-        if (static_cast<unsigned>(SE.E.Kind) != K)
-          continue;
-        HardwareEvent E = SE.E;
-        if (SE.HasInsn)
-          E.Insn = &SE.Insn;
-        if (SE.HasAccess)
-          E.Access = &SE.Access;
-        for (EventSubscriber *S : Subs)
-          S->onEvent(E);
-      }
-    }
-    Staged.clear();
-    Flushing = false;
-  }
-
-  /// Staged-but-undelivered events (introspection for tests).
-  size_t staged() const { return Staged.size(); }
 
   /// Publishes counted since construction or the last clearCounts().
   const std::array<uint64_t, kNumEventKinds> &publishedCounts() const {
@@ -154,42 +97,9 @@ public:
   }
 
 private:
-  /// A staged event for deferred dispatch. HardwareEvent's Insn/Access
-  /// pointers alias publisher stack storage valid only during publish(),
-  /// so the stage snapshots the pointees by value and flush() re-points
-  /// a local copy of the event at them.
-  struct StagedEvent {
-    HardwareEvent E;
-    Instruction Insn;
-    AccessResult Access;
-    bool HasInsn = false;
-    bool HasAccess = false;
-  };
-
-  void stage(const HardwareEvent &E) {
-    StagedEvent &SE = Staged.emplace_back(); // reserved: never reallocates
-    SE.E = E;
-    if (E.Insn) {
-      SE.Insn = *E.Insn;
-      SE.E.Insn = nullptr;
-      SE.HasInsn = true;
-    }
-    if (E.Access) {
-      SE.Access = *E.Access;
-      SE.E.Access = nullptr;
-      SE.HasAccess = true;
-    }
-    if (Staged.size() >= kStagingBlock)
-      flush();
-  }
-
   std::array<std::vector<EventSubscriber *>, kNumEventKinds> ByKind;
-  std::array<std::vector<EventSubscriber *>, kNumEventKinds> DeferredByKind;
   std::array<uint64_t, kNumEventKinds> Published{};
-  std::vector<StagedEvent> Staged;
   EventKindMask Active = 0;
-  EventKindMask DeferredMask = 0;
-  bool Flushing = false;
 };
 
 } // namespace trident

@@ -119,10 +119,10 @@ struct HotTraceCandidate {
 /// Compact by-value payload of a HwPfFeedback event: the four HwPfFeedback
 /// counters saturated to 32 bits. Sized to fit the HotTraceCandidate union
 /// slot so adding the feedback channel left sizeof(HardwareEvent) alone —
-/// the bus, the bounded queue, and the tracer ring all copy events by
-/// value on the per-commit hot path, and the stat-registry export reads
-/// the full 64-bit counters from MemorySystem directly, so nothing wider
-/// is ever needed here. Saturation only matters past 4.3e9 of one counter
+/// the core builds one event per commit on the hot path (the bus passes
+/// it by reference; only the bounded queue copies events), and the
+/// stat-registry export reads the full 64-bit counters from MemorySystem
+/// directly, so nothing wider is ever needed here. Saturation only matters past 4.3e9 of one counter
 /// within a single run, two orders of magnitude beyond the largest
 /// configured instruction budget.
 /// Members carry no initializers (the factory always assigns all four)

@@ -85,15 +85,16 @@ Machine::Machine(const Workload &W, const SimConfig &Cfg, EventTracer *Tracer)
   // The event bus carries the primary's commit/load/branch stream; the
   // co-runners publish nothing. Subscription order is load-bearing, and
   // this is its one home:
-  //  1. the Trident runtime's monitors (watch table, profiler, DLT);
+  //  1. the Trident runtime, one subscriber whose fixed order inside a
+  //     commit (watch table, then profiler) lives in its onEvent;
   //  2. the selector's phase monitor — it never reads the runtime's kinds,
   //     but one fixed order is cheap insurance;
   //  3. the fault injector, which perturbs state between events, never
   //     inside the monitors' view of one, so a fault landing on a
   //     decision cycle perturbs the post-decision machine;
-  //  4. the tracer, a passive flight recorder on the deferred (batched)
-  //     path: the core stages a copy per event instead of paying a
-  //     virtual call inside the issue loop.
+  //  4. the tracer, a passive flight recorder: subscribed last, it sees
+  //     each event after every component that reacts to it, and records
+  //     events in arrival order.
   // Each optional component is constructed only when its feature is on,
   // so a run without it builds exactly the machine that predates it.
   Lane &Primary = *Lanes.front();
@@ -119,7 +120,7 @@ Machine::Machine(const Workload &W, const SimConfig &Cfg, EventTracer *Tracer)
     Injector->attach(Bus);
   }
   if (Tracer)
-    Bus.subscribeDeferred(Tracer, Tracer->mask());
+    Bus.subscribe(Tracer, Tracer->mask());
 }
 
 namespace {
@@ -332,7 +333,5 @@ SimResult trident::runSimulation(const Workload &W, const SimConfig &Config,
     M.runUntil(Config.WarmupInstructions);
   M.startMeasurement();
   SmtCore::StopReason Stop = M.runUntil(Config.SimInstructions);
-  // Deliver any staged partial block before sinks are read or destroyed.
-  M.Bus.flush();
   return assembleResult(M, Stop);
 }

@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "events/EventTracer.h"
 #include "sim/Machine.h"
 #include "workloads/Workloads.h"
 
@@ -103,6 +104,22 @@ TEST(AllocCount, HardwareBaselineSteadyStateIsAllocFree) {
         << Name << ": the pure-hardware measurement window heap-allocated "
         << Allocs << " time(s); the cycle loop must be allocation-free";
   }
+}
+
+TEST(AllocCount, TracedHardwareBaselineIsAllocFree) {
+  // An attached tracer makes the core construct and publish every
+  // hot-path event; the bus delivers each by reference and the tracer
+  // copies it into its reserved ring, so the window stays allocation-free.
+  EventTracer Tracer;
+  Machine M(makeWorkload("mcf"), SimConfig::hwBaseline(), &Tracer);
+  M.runUntil(150'000);
+  M.startMeasurement();
+  uint64_t Before = Tracer.recorded();
+  uint64_t Allocs = countedRun(M, 40'000);
+  EXPECT_GT(Tracer.recorded() - Before, 40'000u);
+  EXPECT_EQ(Allocs, 0u)
+      << "the traced measurement window heap-allocated " << Allocs
+      << " time(s); event delivery and the tracer ring must not allocate";
 }
 
 //===----------------------------------------------------------------------===//

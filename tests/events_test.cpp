@@ -4,9 +4,9 @@
 //
 // Covers the event subsystem from unit level (queue drop semantics, bus
 // dispatch contract, name table, registry determinism, tracer ring) up to
-// the whole-machine invariant the refactor promised: subscribing a passive
-// tracer to the bus changes nothing about a simulation's result, across
-// all 14 workloads.
+// the whole-machine invariants: subscribing a passive tracer to the bus
+// changes nothing about a simulation's result, across all 14 workloads,
+// and the tracer records a run's events in cycle order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -229,114 +229,6 @@ TEST(StatRegistry, JsonlLineShapes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Deferred (batched) dispatch
-//===----------------------------------------------------------------------===//
-
-/// Records (Kind, PC) pairs so batch ordering is observable.
-struct KindPcRecorder final : EventSubscriber {
-  std::vector<std::pair<EventKind, Addr>> Log;
-  void onEvent(const HardwareEvent &E) override {
-    Log.emplace_back(E.Kind, E.PC);
-  }
-};
-
-TEST(EventBusDeferred, NothingDeliveredUntilFlush) {
-  EventBus Bus;
-  KindPcRecorder R;
-  Bus.subscribeDeferred(&R, kAllEventsMask);
-  // Deferred-only subscription still raises the active mask (publishers
-  // gate event construction on it).
-  EXPECT_EQ(Bus.activeMask(), kAllEventsMask);
-  Bus.publish(markAt(1));
-  Bus.publish(markAt(2));
-  EXPECT_TRUE(R.Log.empty());
-  EXPECT_EQ(Bus.staged(), 2u);
-  // Counted at publish entry, before any delivery happens.
-  EXPECT_EQ(Bus.published(EventKind::TraceEntry), 2u);
-  Bus.flush();
-  ASSERT_EQ(R.Log.size(), 2u);
-  EXPECT_EQ(Bus.staged(), 0u);
-  EXPECT_EQ(R.Log[0].second, 1u);
-  EXPECT_EQ(R.Log[1].second, 2u);
-}
-
-TEST(EventBusDeferred, FlushDeliversKindOrderBatchesArrivalOrderWithin) {
-  EventBus Bus;
-  KindPcRecorder R;
-  Bus.subscribeDeferred(&R, kAllEventsMask);
-  // Interleave two kinds; Commit enumerates before TraceEntry.
-  Instruction I;
-  Bus.publish(HardwareEvent::traceMark(EventKind::TraceEntry, 7, 10, 10));
-  Bus.publish(HardwareEvent::commit(0, 20, I, 20));
-  Bus.publish(HardwareEvent::traceMark(EventKind::TraceEntry, 7, 11, 11));
-  Bus.publish(HardwareEvent::commit(0, 21, I, 21));
-  Bus.flush();
-  ASSERT_EQ(R.Log.size(), 4u);
-  EXPECT_EQ(R.Log[0], (std::pair<EventKind, Addr>{EventKind::Commit, 20}));
-  EXPECT_EQ(R.Log[1], (std::pair<EventKind, Addr>{EventKind::Commit, 21}));
-  EXPECT_EQ(R.Log[2],
-            (std::pair<EventKind, Addr>{EventKind::TraceEntry, 10}));
-  EXPECT_EQ(R.Log[3],
-            (std::pair<EventKind, Addr>{EventKind::TraceEntry, 11}));
-}
-
-TEST(EventBusDeferred, BlockFillTriggersAutomaticFlush) {
-  EventBus Bus;
-  KindPcRecorder R;
-  Bus.subscribeDeferred(&R, kAllEventsMask);
-  for (size_t I = 0; I < EventBus::kStagingBlock - 1; ++I)
-    Bus.publish(markAt(static_cast<Addr>(I)));
-  EXPECT_TRUE(R.Log.empty());
-  Bus.publish(markAt(999)); // fills the block
-  EXPECT_EQ(R.Log.size(), EventBus::kStagingBlock);
-  EXPECT_EQ(Bus.staged(), 0u);
-}
-
-TEST(EventBusDeferred, StagedEventsDeepCopyInsnAndAccess) {
-  // The publisher's Instruction/AccessResult live on its stack; a staged
-  // event must survive their death and mutation.
-  EventBus Bus;
-  struct Checker final : EventSubscriber {
-    unsigned Seen = 0;
-    void onEvent(const HardwareEvent &E) override {
-      ++Seen;
-      ASSERT_NE(E.Insn, nullptr);
-      EXPECT_EQ(E.Insn->Op, Opcode::Load);
-      EXPECT_EQ(E.Insn->Imm, 40);
-      ASSERT_NE(E.Access, nullptr);
-      EXPECT_EQ(E.Access->ReadyCycle, 123u);
-    }
-  } C;
-  Bus.subscribeDeferred(&C, eventMaskOf(EventKind::LoadOutcome));
-  {
-    Instruction I;
-    I.Op = Opcode::Load;
-    I.Imm = 40;
-    AccessResult A;
-    A.ReadyCycle = 123;
-    Bus.publish(HardwareEvent::loadOutcome(0, 5, I, 0x1000, A, 50));
-    // Clobber the publisher storage before the flush.
-    I.Imm = -1;
-    A.ReadyCycle = 0;
-  }
-  Bus.flush();
-  EXPECT_EQ(C.Seen, 1u);
-}
-
-TEST(EventBusDeferred, SyncSubscribersUnaffectedByDeferredPeers) {
-  EventBus Bus;
-  KindPcRecorder Sync, Deferred;
-  Bus.subscribe(&Sync, kAllEventsMask);
-  Bus.subscribeDeferred(&Deferred, kAllEventsMask);
-  Bus.publish(markAt(3));
-  EXPECT_EQ(Sync.Log.size(), 1u); // immediate, as ever
-  EXPECT_TRUE(Deferred.Log.empty());
-  Bus.flush();
-  EXPECT_EQ(Deferred.Log.size(), 1u);
-  EXPECT_EQ(Bus.published(EventKind::TraceEntry), 1u); // one publish, not two
-}
-
-//===----------------------------------------------------------------------===//
 // EventTracer
 //===----------------------------------------------------------------------===//
 
@@ -429,6 +321,34 @@ TEST(EventBusEndToEnd, TracerOnVsOffBitIdenticalAcrossAllWorkloads) {
     ASSERT_TRUE(Plain.Registry && Traced.Registry) << Name;
     EXPECT_EQ(Plain.Registry->toJsonl(), Traced.Registry->toJsonl()) << Name;
     EXPECT_GT(Tracer.recorded(), 0u) << Name;
+  }
+}
+
+TEST(EventBusEndToEnd, TracerRecordsInCycleOrder) {
+  // The tracer rides the synchronous bus, so its ring holds events in
+  // arrival order, which is cycle order, and a wrapped ring holds exactly
+  // the newest N events of the run.
+  Workload W = makeWorkload("mcf");
+  SimConfig C = tinyTrident();
+  EventTracer Wrapped(1 << 12);
+  runSimulation(W, C, &Wrapped);
+  ASSERT_GT(Wrapped.overwritten(), 0u) << "the ring must wrap";
+  std::vector<EventTracer::Record> Tail = Wrapped.snapshot();
+  for (size_t I = 1; I < Tail.size(); ++I)
+    ASSERT_GE(Tail[I].Time, Tail[I - 1].Time) << "record " << I;
+
+  EventTracer Whole(1 << 18);
+  runSimulation(W, C, &Whole);
+  ASSERT_EQ(Whole.overwritten(), 0u) << "the reference ring must not wrap";
+  EXPECT_EQ(Whole.recorded(), Wrapped.recorded());
+  std::vector<EventTracer::Record> All = Whole.snapshot();
+  ASSERT_GE(All.size(), Tail.size());
+  const size_t Skip = All.size() - Tail.size();
+  for (size_t I = 0; I < Tail.size(); ++I) {
+    const EventTracer::Record &A = All[Skip + I], &B = Tail[I];
+    ASSERT_TRUE(A.Kind == B.Kind && A.Ctx == B.Ctx && A.PC == B.PC &&
+                A.Arg == B.Arg && A.Time == B.Time && A.Extra == B.Extra)
+        << "record " << I << " of the wrapped ring";
   }
 }
 

@@ -3,9 +3,9 @@
 // Part of the Trident-SRP reproduction (CGO 2006).
 //
 // The hot-path refactors (SoA cache/DLT layouts, zero-alloc cycle loop,
-// batched event dispatch) are pure performance work: they must not move a
-// single architectural bit. This suite pins the *entire* sweep surface —
-// all 14 workloads x 4 prefetch configs, plus a faulted self-repairing
+// one synchronous event path) are pure performance work: they must not
+// move a single architectural bit. This suite pins the *entire* sweep
+// surface — all 14 workloads x 4 prefetch configs, plus a faulted self-repairing
 // config, a two-co-runner mix, a bandit-selector run, a TLB-bounded dcpt
 // run and the enhanced-stream and T-SKID units — to a committed
 // fingerprint of (Cycles, RegChecksum, FNV-1a of the canonical
