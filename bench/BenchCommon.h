@@ -18,18 +18,23 @@
 /// Environment knobs:
 ///   TRIDENT_BENCH_INSTR  per-run committed-instruction budget
 ///                        (default 2,000,000)
-///   TRIDENT_BENCH_QUICK  =1: quarter budget (smoke-testing the harness)
+///   TRIDENT_BENCH_QUICK  1: quarter budget (smoke-testing the harness);
+///                        0 or unset: full budget
 ///   TRIDENT_BENCH_JOBS   worker threads for the batch runner
 ///                        (default: all hardware threads)
 ///
 /// Numeric knobs are read with the one decimal reader (support/Knobs.h): a
-/// malformed value prints one line and exits 2.
+/// malformed value prints one line and exits 2. So does a name that a
+/// figure's axis filter does not know (envFilter). The driver reads the
+/// budget and every axis filter before the first figure runs
+/// (checkEnvKnobs), so a bad value exits before anything is simulated.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRIDENT_BENCH_BENCHCOMMON_H
 #define TRIDENT_BENCH_BENCHCOMMON_H
 
+#include "hwpf/PrefetcherRegistry.h"
 #include "sim/ExperimentRunner.h"
 #include "sim/Simulation.h"
 #include "support/Knobs.h"
@@ -37,6 +42,7 @@
 #include "support/Table.h"
 #include "workloads/Workloads.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -51,9 +57,8 @@ namespace bench {
 inline uint64_t instrBudget() {
   uint64_t N =
       envDecimal("TRIDENT_BENCH_INSTR", 2'000'000, 1, uint64_t(1) << 40);
-  if (const char *Q = std::getenv("TRIDENT_BENCH_QUICK"))
-    if (*Q && *Q != '0')
-      N /= 4;
+  if (envDecimal("TRIDENT_BENCH_QUICK", 0, 0, 1))
+    N /= 4;
   return N;
 }
 
@@ -61,18 +66,57 @@ inline uint64_t warmupBudget() { return 100'000; }
 
 /// The members of \p All named in the comma-separated environment list
 /// \p Name, in \p All's order; all of \p All when the list is unset or
-/// empty.
+/// empty. A listed name that is not in \p All prints one line and exits 2.
 inline std::vector<std::string> envFilter(const char *Name,
                                           const std::vector<std::string> &All) {
   const char *E = std::getenv(Name);
   if (!E || !*E)
     return All;
+  std::string Valid;
+  for (const std::string &N : All)
+    (Valid += ' ') += N;
   const std::string List = std::string(",") + E + ",";
+  for (size_t B = 1; B < List.size();) {
+    const size_t C = List.find(',', B);
+    const std::string Item = List.substr(B, C - B);
+    if (std::find(All.begin(), All.end(), Item) == All.end()) {
+      std::fprintf(stderr, "error: %s names unknown '%s' (valid:%s)\n", Name,
+                   Item.c_str(), Valid.c_str());
+      std::exit(2);
+    }
+    B = C + 1;
+  }
   std::vector<std::string> Out;
   for (const std::string &N : All)
     if (List.find("," + N + ",") != std::string::npos)
       Out.push_back(N);
   return Out;
+}
+
+/// The figure axes the environment restricts: fig9's and fig11's
+/// prefetchers, fig9's and fig10's workloads.
+inline std::vector<std::string> fig9Prefetchers() {
+  return envFilter("TRIDENT_FIG9_HWPF", PrefetcherRegistry::instance().names());
+}
+inline std::vector<std::string> fig9Workloads() {
+  return envFilter("TRIDENT_FIG9_WORKLOADS", workloadNames());
+}
+inline std::vector<std::string> fig10Workloads() {
+  return envFilter("TRIDENT_FIG10_WORKLOADS", workloadNames());
+}
+inline std::vector<std::string> fig11Prefetchers() {
+  return envFilter("TRIDENT_FIG11_HWPF",
+                   PrefetcherRegistry::instance().names());
+}
+
+/// Reads the budget knobs and every axis filter, each of which exits 2 on
+/// a bad value; the driver calls it before the first figure runs.
+inline void checkEnvKnobs() {
+  instrBudget();
+  fig9Prefetchers();
+  fig9Workloads();
+  fig10Workloads();
+  fig11Prefetchers();
 }
 
 inline SimConfig withBudget(SimConfig C) {

@@ -79,8 +79,7 @@ int trident::bench::fig10Selector() {
               "beyond the paper: runtime-guided reconfiguration (POWER7) / "
               "online selection (Pythia) bounded by a replay oracle");
 
-  const std::vector<std::string> Loads =
-      envFilter("TRIDENT_FIG10_WORKLOADS", workloadNames());
+  const std::vector<std::string> Loads = fig10Workloads();
   const std::vector<std::string> Arms = PrefetcherRegistry::instance().names();
   const FaultPlan Plan = regimeShiftPlan();
 

@@ -31,7 +31,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "hwpf/PrefetcherRegistry.h"
 #include "support/Random.h"
 #include "workloads/fuzz/FuzzGenerator.h"
 
@@ -90,8 +89,7 @@ int trident::bench::fig11Fuzz() {
   const uint64_t Seed0 = envDecimal("TRIDENT_FIG11_SEED0", 1000, 0, UINT64_MAX);
   const uint64_t NumMixes = envDecimal("TRIDENT_FIG11_MIX", 6, 0, 100'000);
 
-  std::vector<std::string> Hwpfs = envFilter(
-      "TRIDENT_FIG11_HWPF", PrefetcherRegistry::instance().names());
+  std::vector<std::string> Hwpfs = fig11Prefetchers();
   Hwpfs.insert(Hwpfs.begin(), "none");
 
   std::vector<std::string> Scenarios;

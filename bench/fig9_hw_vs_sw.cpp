@@ -23,7 +23,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "hwpf/PrefetcherRegistry.h"
 
 #include <algorithm>
 #include <map>
@@ -35,11 +34,9 @@ int trident::bench::fig9HwVsSw() {
 
   // Axes. "none" is always present: every speedup in this figure is over
   // the no-prefetch, no-Trident machine.
-  std::vector<std::string> Hwpfs = envFilter(
-      "TRIDENT_FIG9_HWPF", PrefetcherRegistry::instance().names());
+  std::vector<std::string> Hwpfs = fig9Prefetchers();
   Hwpfs.insert(Hwpfs.begin(), "none");
-  const std::vector<std::string> Loads =
-      envFilter("TRIDENT_FIG9_WORKLOADS", workloadNames());
+  const std::vector<std::string> Loads = fig9Workloads();
 
   // One flat batch: workload-major, then Trident off/on, then prefetcher.
   // In a driver run of several figures the shared memo cache serves the

@@ -13,9 +13,9 @@
 // is not simulated again. The driver prints nothing of its own to stdout:
 // `trident_figures A B` prints what `A` then `B` print alone.
 //
-// An unknown name prints one stderr line and exits 2 before anything is
-// simulated; the first figure that returns non-zero ends the run with
-// that code.
+// An unknown name, or a bad TRIDENT_BENCH_* or figure-filter environment
+// value, prints one stderr line and exits 2 before anything is simulated;
+// the first figure that returns non-zero ends the run with that code.
 //
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +68,7 @@ int main(int Argc, char **Argv) {
   if (Run.empty())
     for (const Figure &F : Figures)
       Run.push_back(&F);
+  checkEnvKnobs();
 
   for (const Figure *F : Run)
     if (int Rc = F->Run())

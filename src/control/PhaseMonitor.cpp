@@ -45,7 +45,6 @@ void PhaseMonitor::attach(EventBus &B) {
 void PhaseMonitor::onEvent(const HardwareEvent &E) {
   TRIDENT_DCHECK(E.Kind == EventKind::HwPfFeedback,
                  "PhaseMonitor subscribed to an unexpected kind");
-  ++Stats.Samples;
   if (++SamplesInEpoch >= Cfg.SamplesPerEpoch) {
     SamplesInEpoch = 0;
     closeEpoch(E.Time);
@@ -54,20 +53,15 @@ void PhaseMonitor::onEvent(const HardwareEvent &E) {
 
 void PhaseMonitor::closeEpoch(Cycle Now) {
   const MemStats &MS = Mem.stats();
-  const HwPfFeedback &Fb = Mem.feedback();
-  // All counters are monotone within a window and the baselines re-zero
+  // All counters are monotone within a window and the baseline re-zeroes
   // with them at the boundary, so the deltas can never underflow.
-  TRIDENT_DCHECK(MS.DemandLoads >= BaseDemandLoads &&
-                     MS.TotalExposedLatency >= BaseExposed,
-                 "epoch baselines are ahead of the memory system (missing "
+  TRIDENT_DCHECK(MS.DemandLoads >= Base.DemandLoads &&
+                     MS.TotalExposedLatency >= Base.TotalExposedLatency,
+                 "epoch baseline is ahead of the memory system (missing "
                  "onMeasurementStart after clearStats?)");
-  const uint64_t Loads = MS.DemandLoads - BaseDemandLoads;
-  const uint64_t Exposed = MS.TotalExposedLatency - BaseExposed;
-  HwPfFeedback Delta;
-  Delta.Issued = Fb.Issued - BaseIssued;
-  Delta.Useful = Fb.Useful - BaseUseful;
-  Delta.Late = Fb.Late - BaseLate;
-  Delta.DemandMisses = Fb.DemandMisses - BaseDemandMisses;
+  const uint64_t Loads = MS.DemandLoads - Base.DemandLoads;
+  const uint64_t Exposed = MS.TotalExposedLatency - Base.TotalExposedLatency;
+  const HwPfFeedback Delta = MS.feedback() - Base.feedback();
 
   PhaseSignature Sig;
   Sig.Epoch = EpochIndex;
@@ -82,12 +76,7 @@ void PhaseMonitor::closeEpoch(Cycle Now) {
                                   : static_cast<double>(Exposed) /
                                         static_cast<double>(Loads);
 
-  BaseDemandLoads = MS.DemandLoads;
-  BaseExposed = MS.TotalExposedLatency;
-  BaseIssued = Fb.Issued;
-  BaseUseful = Fb.Useful;
-  BaseLate = Fb.Late;
-  BaseDemandMisses = Fb.DemandMisses;
+  Base = MS;
 
   const unsigned Next = Policy->decide(Sig, CurrentArm);
   TRIDENT_CHECK(Next < Arms.size(), "selector chose arm %u of %zu", Next,
@@ -122,12 +111,7 @@ void PhaseMonitor::closeEpoch(Cycle Now) {
 }
 
 void PhaseMonitor::onMeasurementStart() {
-  BaseDemandLoads = 0;
-  BaseExposed = 0;
-  BaseIssued = 0;
-  BaseUseful = 0;
-  BaseLate = 0;
-  BaseDemandMisses = 0;
+  Base = MemStats();
   SamplesInEpoch = 0;
   EpochIndex = 0;
   ExplorationBase = Policy->explorations();

@@ -9,9 +9,10 @@
 /// event bus as a HwPfFeedback subscriber: every configured number of
 /// feedback samples closes an *epoch*, at which point it folds the memory
 /// system's referee counters (accuracy, coverage, miss rate, exposed
-/// latency per load — all as deltas against the previous boundary) into a
-/// PhaseSignature, asks the PrefetcherSelector policy for the next arm,
-/// and — when the decision changes — swaps the arsenal unit in place via
+/// latency per load — all as deltas against one MemStats snapshot taken
+/// at the previous boundary) into a PhaseSignature, asks the
+/// PrefetcherSelector policy for the next arm, and — when the decision
+/// changes — swaps the arsenal unit in place via
 /// MemorySystem::attachPrefetcher. Each decision is published as a
 /// SelectorDecision event and appended to the decision trace, the
 /// determinism artifact the tests compare byte-for-byte across serial and
@@ -20,7 +21,7 @@
 /// The monitor is active during warmup so the bandit warm-starts; at the
 /// measurement-window boundary the sim layer calls onMeasurementStart()
 /// (right after MemorySystem::clearStats()) to re-zero the delta
-/// baselines and the windowed stats/trace while the policy keeps its
+/// baseline and the windowed stats/trace while the policy keeps its
 /// learned state — mirroring how warmup trains caches and predictors.
 ///
 //===----------------------------------------------------------------------===//
@@ -53,11 +54,18 @@ public:
   void onEvent(const HardwareEvent &E) override;
 
   /// Measurement-window boundary: the sim layer just cleared the memory
-  /// system's stats, so the epoch baselines re-zero with them; windowed
-  /// stats and the decision trace reset, the policy's learning survives.
+  /// system's stats and the bus counts, so the epoch baseline re-zeroes
+  /// with them; windowed stats and the decision trace reset, the policy's
+  /// learning survives.
   void onMeasurementStart();
 
-  const SelectorStats &stats() const { return Stats; }
+  /// Windowed stats; Samples is read from the bus, which counts every
+  /// HwPfFeedback publish and clears with these stats.
+  SelectorStats stats() const {
+    SelectorStats S = Stats;
+    S.Samples = Bus ? Bus->published(EventKind::HwPfFeedback) : 0;
+    return S;
+  }
   const std::vector<SelectorDecisionRecord> &trace() const { return Trace; }
   /// Sorted arsenal list the arm indices refer to.
   const std::vector<std::string> &arms() const { return Arms; }
@@ -77,15 +85,11 @@ private:
 
   uint64_t SamplesInEpoch = 0;
   uint64_t EpochIndex = 0;
-  /// Referee-counter baselines at the last epoch boundary (deltas against
-  /// these form the phase signature). Reset with the memory system's
-  /// stats at the measurement boundary.
-  uint64_t BaseDemandLoads = 0;
-  uint64_t BaseExposed = 0;
-  uint64_t BaseIssued = 0;
-  uint64_t BaseUseful = 0;
-  uint64_t BaseLate = 0;
-  uint64_t BaseDemandMisses = 0;
+  /// The memory system's stats at the last epoch boundary: the one
+  /// baseline every signature delta (loads, exposed latency and the
+  /// feedback derived from them) is taken against. Reset with the memory
+  /// system's stats at the measurement boundary.
+  MemStats Base;
   /// Policy explorations() at the last window boundary, so Stats reports
   /// the windowed count while the policy keeps its cumulative one.
   uint64_t ExplorationBase = 0;

@@ -113,7 +113,8 @@ struct SelectorStats {
   uint64_t Swaps = 0;
   /// Non-greedy (exploration) decisions taken by the bandit.
   uint64_t Explorations = 0;
-  /// HwPfFeedback samples consumed.
+  /// HwPfFeedback samples consumed: the bus's publish count of that
+  /// kind, read by PhaseMonitor::stats().
   uint64_t Samples = 0;
   /// Arm index attached at the end (SelectorDecisionRecord::kNoArm when
   /// the run ended with no arsenal unit).

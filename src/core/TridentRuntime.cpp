@@ -76,6 +76,17 @@ void RuntimeStats::registerInto(StatRegistry &R,
   R.setReal(Prefix + "prefetch_miss_coverage", prefetchMissCoverage());
 }
 
+RuntimeStats TridentRuntime::stats() const {
+  RuntimeStats S = Stats;
+  S.HotTraceEvents = Bus ? Bus->published(EventKind::HotTrace) : 0;
+  S.DelinquentEvents = Dlt.stats().Events;
+  S.EventsDropped = Queue.dropped();
+  S.PeakPendingEvents = Queue.peakOccupancy();
+  S.LoadMissesTotal = S.LdPartial + S.LdMiss + S.LdMissDueToPf;
+  S.CommitsTotal = Bus ? Bus->published(EventKind::Commit) : 0;
+  return S;
+}
+
 TridentRuntime::TridentRuntime(const RuntimeConfig &Cfg, Program &P,
                                SmtCore &CoreRef, CodeCache &CCRef)
     : Config(Cfg), Prog(P), Core(CoreRef), CC(CCRef), Patcher(P),
@@ -213,7 +224,6 @@ void TridentRuntime::handleWatchCommit(const HardwareEvent &Ev) {
     return;
   const Addr PC = Ev.PC;
   const Cycle Now = Ev.Time;
-  ++Stats.CommitsTotal;
   if (Config.ClearMatureOnPhaseChange && Enabled)
     accountPhase(PC);
 
@@ -261,10 +271,8 @@ void TridentRuntime::handleProfilerCommit(const HardwareEvent &Ev) {
     return;
   if (CC.contains(Ev.PC))
     return; // Trace-internal commits never train the profiler.
-  if (std::optional<HotTraceCandidate> Cand = Profiler.onCommit(Ev.PC)) {
-    ++Stats.HotTraceEvents;
+  if (std::optional<HotTraceCandidate> Cand = Profiler.onCommit(Ev.PC))
     raiseEvent(HardwareEvent::hotTrace(*Cand, Ev.Time));
-  }
 }
 
 void TridentRuntime::handleProfilerBranch(const HardwareEvent &Ev) {
@@ -313,16 +321,13 @@ void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
     break;
   }
 
-  // Figure 4 coverage.
-  if (Miss) {
-    ++Stats.LoadMissesTotal;
-    if (InTrace) {
-      ++Stats.LoadMissesInTraces;
-      TraceMeta &M = Traces[CC.traceIdAt(PC)];
-      auto It = M.LoadPCToBaseIdx.find(PC);
-      if (It != M.LoadPCToBaseIdx.end() && M.Plan.groupCovering(It->second))
-        ++Stats.LoadMissesCovered;
-    }
+  // Figure 4 coverage (the total is the three miss outcomes above).
+  if (Miss && InTrace) {
+    ++Stats.LoadMissesInTraces;
+    TraceMeta &M = Traces[CC.traceIdAt(PC)];
+    auto It = M.LoadPCToBaseIdx.find(PC);
+    if (It != M.LoadPCToBaseIdx.end() && M.Plan.groupCovering(It->second))
+      ++Stats.LoadMissesCovered;
   }
 
   if (!Enabled || !InTrace || Config.Mode == PrefetchMode::None)
@@ -330,7 +335,6 @@ void TridentRuntime::handleLoad(const HardwareEvent &Ev) {
 
   // DLT monitoring of hot-trace loads.
   if (Dlt.update(PC, EA, Miss, ExposedLatency)) {
-    ++Stats.DelinquentEvents;
     uint32_t Tid = CC.traceIdAt(PC);
     WatchEntry *W = Watch.find(Tid);
     TRIDENT_DBG("[trident] event pc=0x%llx trace=%u optflag=%d\n",
@@ -355,15 +359,12 @@ void TridentRuntime::raiseEvent(const HardwareEvent &E) {
   // or not (the queue models the hardware buffer, the bus models wires).
   Bus->publish(E);
   if (!Queue.tryPush(E)) {
-    ++Stats.EventsDropped;
     if (E.Kind == EventKind::DelinquentLoad) {
       Dlt.clearWindow(E.PC);
       clearOptFlag(E.TraceId);
     }
     return;
   }
-  Stats.PeakPendingEvents =
-      std::max<uint64_t>(Stats.PeakPendingEvents, Queue.size());
   dispatchNext();
 }
 

@@ -37,6 +37,7 @@
 #include "dlt/DelinquentLoadTable.h"
 #include "events/EventBus.h"
 #include "events/EventQueue.h"
+#include "support/Check.h"
 #include "trident/BranchProfiler.h"
 #include "trident/CodeCache.h"
 #include "trident/CostModel.h"
@@ -99,6 +100,11 @@ struct RuntimeConfig {
   auto operator<=>(const RuntimeConfig &) const = default;
 };
 
+/// The runtime's counters. HotTraceEvents, DelinquentEvents,
+/// EventsDropped, PeakPendingEvents, LoadMissesTotal and CommitsTotal are
+/// not counted here: TridentRuntime::stats() reads each from the one
+/// place that counts it (the event bus, the DLT, the event queue, the
+/// Figure 6 outcome counters).
 struct RuntimeStats {
   uint64_t HotTraceEvents = 0;
   uint64_t TracesInstalled = 0;
@@ -175,8 +181,16 @@ public:
   /// Branch to the profiler; a LoadOutcome to the DLT.
   void onEvent(const HardwareEvent &E) override;
 
-  const RuntimeStats &stats() const { return Stats; }
+  /// Snapshot of the runtime's counters, with the derived ones filled in
+  /// from their sources (see RuntimeStats).
+  RuntimeStats stats() const;
+  /// Measurement-window boundary, together with the bus counts. Nothing is
+  /// raised or DLT-monitored while the runtime is disabled, so the queue
+  /// is empty and the DLT has raised nothing: the counters stats() reads
+  /// from them restart with this reset (checked).
   void clearStats() {
+    TRIDENT_DCHECK(Queue.empty() && Dlt.stats().Events == 0,
+                   "runtime stats cleared after it raised events");
     Stats = RuntimeStats();
     Queue.clearStats();
   }

@@ -6,20 +6,11 @@
 
 #include "hwpf/StreamBuffer.h"
 #include "support/Check.h"
-#include "support/StatRegistry.h"
 
 #include <cstdio>
 #include <cstdlib>
 
 using namespace trident;
-
-void StreamBufferStats::registerInto(StatRegistry &R,
-                                     const std::string &Prefix) const {
-  R.setCounter(Prefix + "allocations", Allocations);
-  R.setCounter(Prefix + "probe_hits", ProbeHits);
-  R.setCounter(Prefix + "probe_misses", ProbeMisses);
-  R.setCounter(Prefix + "lines_prefetched", LinesPrefetched);
-}
 
 StreamBufferUnit::StreamBufferUnit(const StreamBufferConfig &Cfg)
     : Config(Cfg), Predictor(Config.HistoryEntries) {

@@ -23,8 +23,6 @@
 
 namespace trident {
 
-class StatRegistry;
-
 struct StreamBufferConfig {
   unsigned NumBuffers = 8;
   unsigned Depth = 8;
@@ -42,14 +40,12 @@ struct StreamBufferConfig {
 };
 
 /// Statistics for the stream-buffer unit.
+// trident-analyze: unregistered-ok(exported through snapshotStats)
 struct StreamBufferStats {
   uint64_t Allocations = 0;
   uint64_t ProbeHits = 0;
   uint64_t ProbeMisses = 0;
   uint64_t LinesPrefetched = 0;
-
-  /// Registers every field under \p Prefix (e.g. "hwpf.").
-  void registerInto(StatRegistry &R, const std::string &Prefix) const;
 };
 
 class StreamBufferUnit final : public HwPrefetcher {

@@ -58,15 +58,19 @@ enum class LoadOutcome : uint8_t {
 };
 
 /// Aggregate effectiveness counters for the attached hardware prefetcher,
-/// maintained uniformly by MemorySystem (not by the prefetcher itself) so
-/// every arsenal member is measured with identical semantics:
+/// derived by MemorySystem::feedback() from its MemStats (not kept by the
+/// prefetcher itself) so every arsenal member is measured with identical
+/// semantics:
 ///
-///  * Issued — hardware-prefetch line fills sent down the L2/L3/memory path;
+///  * Issued — hardware-prefetch line fills sent down the L2/L3/memory path
+///    (MemStats::HardwarePrefetches);
 ///  * Useful — demand accesses whose data a prefetch had fully hidden
-///    (first-touch hits on prefetched lines, timely buffer hits);
+///    (first-touch hits on prefetched lines, timely buffer hits;
+///    MemStats::HitsPrefetched);
 ///  * Late — demand accesses that found their prefetch still in flight
-///    (partially hidden latency);
-///  * DemandMisses — demand L1 misses no prefetch covered at all.
+///    (partially hidden latency; MemStats::PartialHits);
+///  * DemandMisses — demand L1 misses no prefetch covered at all
+///    (MemStats::Misses + MissesDueToPrefetch).
 ///
 /// accuracy() and coverage() are the standard derived metrics. The struct
 /// is also the payload of EventKind::HwPfFeedback (copied by value).
@@ -75,6 +79,14 @@ struct HwPfFeedback {
   uint64_t Useful = 0;
   uint64_t Late = 0;
   uint64_t DemandMisses = 0;
+
+  /// Field-wise difference: the counts between two snapshots.
+  HwPfFeedback operator-(const HwPfFeedback &O) const {
+    return {.Issued = Issued - O.Issued,
+            .Useful = Useful - O.Useful,
+            .Late = Late - O.Late,
+            .DemandMisses = DemandMisses - O.DemandMisses};
+  }
 
   /// Fraction of issued prefetches a demand access consumed (fully or
   /// partially). Can exceed 1 transiently if a line is re-touched after

@@ -121,10 +121,8 @@ Cycle MemorySystem::allocateMshr(Cycle IssueCycle, Cycle Ready) {
 }
 
 Cycle MemorySystem::fetchBeyondL1(Addr LineAddr, Cycle Now, AccessKind Kind) {
-  if (Kind == AccessKind::HardwarePrefetch) {
+  if (Kind == AccessKind::HardwarePrefetch)
     ++Stats.HardwarePrefetches;
-    ++Fb.Issued;
-  }
   // Injected latency fault (inactive on the zero-fault path: one
   // predictable branch, timing otherwise untouched).
   const bool Faulted = FaultActive && LineAddr <= FaultHi &&
@@ -182,13 +180,15 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
     ~AccessScope() { Flag = false; }
   } Scope(InAccess);
 #endif
+  // Hardware prefetches enter only through fetchBeyondL1, which counts
+  // them once; a second entry here would count an L1 miss twice.
+  TRIDENT_DCHECK(Kind != AccessKind::HardwarePrefetch,
+                 "hardware prefetches go through fetchBeyondL1, not access");
   const bool DemandLoad = Kind == AccessKind::DemandLoad;
   if (DemandLoad)
     ++Stats.DemandLoads;
   else if (Kind == AccessKind::SoftwarePrefetch)
     ++Stats.SoftwarePrefetches;
-  else if (Kind == AccessKind::HardwarePrefetch)
-    ++Stats.HardwarePrefetches;
 
   // Optional TLB: demand accesses that miss pay a page walk; software
   // prefetches to untranslated pages are dropped (non-faulting prefetch
@@ -202,8 +202,7 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
         Dropped.Level = 1;
         return Dropped;
       }
-    } else if (Kind != AccessKind::HardwarePrefetch &&
-               !Dtlb->access(ByteAddr)) {
+    } else if (!Dtlb->access(ByteAddr)) {
       Now += Config.Tlb.WalkLatency; // serialize the walk before the access
     }
   }
@@ -214,28 +213,23 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
   auto finishDemand = [&](AccessResult &Res) {
     if (!DemandLoad)
       return;
-    // The per-outcome MemStats tally doubles as the uniform prefetcher
-    // feedback channel: fully-hidden outcomes are Useful, in-flight ones
-    // Late, uncovered ones DemandMisses (see HwPfFeedback).
+    // This per-outcome tally is also the prefetcher feedback channel:
+    // feedback() derives Useful, Late and DemandMisses from it.
     switch (Res.Outcome) {
     case LoadOutcome::HitNone:
       ++Stats.HitsNone;
       break;
     case LoadOutcome::HitPrefetched:
       ++Stats.HitsPrefetched;
-      ++Fb.Useful;
       break;
     case LoadOutcome::PartialHit:
       ++Stats.PartialHits;
-      ++Fb.Late;
       break;
     case LoadOutcome::Miss:
       ++Stats.Misses;
-      ++Fb.DemandMisses;
       break;
     case LoadOutcome::MissDueToPrefetch:
       ++Stats.MissesDueToPrefetch;
-      ++Fb.DemandMisses;
       break;
     }
     Cycle BestCase = Now + Config.L1.HitLatency;
@@ -285,8 +279,8 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
   }
 
   // L1 miss. Probe the hardware prefetcher's buffers first (demand and
-  // software-prefetch accesses both benefit; hardware fills skip the probe).
-  if (Pf && Kind != AccessKind::HardwarePrefetch) {
+  // software-prefetch accesses both benefit).
+  if (Pf) {
     if (std::optional<Cycle> BufReady = Pf->probe(LineAddr, Now, *this)) {
       Cycle Ready =
           std::max(*BufReady, Now + Config.StreamBufferTransferLatency);
@@ -330,7 +324,7 @@ AccessResult MemorySystem::access(Addr PC, Addr ByteAddr, AccessKind Kind,
   // stream re-primes a stream buffer ahead of itself and the two
   // prefetchers cooperate rather than starve each other (the paper's
   // observation that the combination minimizes software prefetching cost).
-  if (Pf && Kind != AccessKind::HardwarePrefetch)
+  if (Pf)
     Pf->trainOnMiss(PC, ByteAddr, Now, *this);
 
   // Causality: no access completes before it starts.

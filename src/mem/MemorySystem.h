@@ -81,8 +81,10 @@ struct HwPfStats {
 ///    observe when lines actually arrive.
 ///
 /// Issue path: probe() is consulted on every L1 miss before the fill goes
-/// to L2. Feedback: MemorySystem maintains HwPfFeedback uniformly for any
-/// attached unit; per-unit internals are reported via snapshotStats().
+/// to L2; the unit's own fills go through MemoryBackend::fetchBeyondL1.
+/// Feedback: MemorySystem derives HwPfFeedback from its MemStats uniformly
+/// for any attached unit; per-unit internals are reported via
+/// snapshotStats().
 // trident-analyze: not-a-hw-table(abstract interface; concrete units
 // declare their own bounded tables)
 class HwPrefetcher {
@@ -164,6 +166,14 @@ struct MemStats {
     return PartialHits + Misses + MissesDueToPrefetch;
   }
 
+  /// The prefetcher feedback these counters hold (see HwPfFeedback).
+  HwPfFeedback feedback() const {
+    return {.Issued = HardwarePrefetches,
+            .Useful = HitsPrefetched,
+            .Late = PartialHits,
+            .DemandMisses = Misses + MissesDueToPrefetch};
+  }
+
   /// Registers every field under \p Prefix (e.g. "mem.").
   void registerInto(StatRegistry &R, const std::string &Prefix) const;
 };
@@ -174,15 +184,17 @@ public:
   explicit MemorySystem(const MemSystemConfig &Config);
 
   /// Installs (or clears) the hardware prefetcher. Ownership transfers.
-  /// Safe mid-run between accesses: MSHR/bus state and the HwPfFeedback
+  /// Safe mid-run between accesses: MSHR/bus state and the MemStats
   /// referee counters are owned here and survive the swap; only the
   /// outgoing unit's private buffers are dropped. Must not be called from
   /// inside access() (checked).
   void attachPrefetcher(std::unique_ptr<HwPrefetcher> Pf);
   HwPrefetcher *prefetcher() { return Pf.get(); }
 
-  /// Performs one timed access. \p PC is the accessing instruction's
-  /// address (used for prefetcher training), \p ByteAddr the data address.
+  /// Performs one timed demand or software-prefetch access. \p PC is the
+  /// accessing instruction's address (used for prefetcher training),
+  /// \p ByteAddr the data address. Hardware prefetches do not come here:
+  /// a unit issues them through fetchBeyondL1 (checked).
   AccessResult access(Addr PC, Addr ByteAddr, AccessKind Kind, Cycle Now);
 
   // MemoryBackend interface.
@@ -191,13 +203,10 @@ public:
 
   const MemSystemConfig &config() const { return Config; }
   const MemStats &stats() const { return Stats; }
-  /// Uniform prefetcher-effectiveness counters (all zero when no
-  /// prefetcher is attached; see HwPfFeedback).
-  const HwPfFeedback &feedback() const { return Fb; }
-  void clearStats() {
-    Stats = MemStats();
-    Fb = HwPfFeedback();
-  }
+  /// Uniform prefetcher-effectiveness counters (see HwPfFeedback), a view
+  /// of stats(): each field is one MemStats counter or the sum of two.
+  HwPfFeedback feedback() const { return Stats.feedback(); }
+  void clearStats() { Stats = MemStats(); }
 
   /// Invalidates all cache state (not the stats).
   void resetCaches();
@@ -242,7 +251,6 @@ private:
   /// (checked builds only — no hot-path cost in release).
   bool InAccess = false;
   MemStats Stats;
-  HwPfFeedback Fb;
 
   /// Injected latency fault (see injectLatencyFault); inactive by default
   /// so the hot path pays one predictable-not-taken branch.

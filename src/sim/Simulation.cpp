@@ -158,9 +158,11 @@ void Machine::startMeasurement() {
     L->MeasureStart = L->Core.now();
   }
   Mem.clearStats();
+  // The bus counts reset with the runtime and monitor stats that read
+  // them (trident.commits_total, selector.samples, ...).
   Bus.clearCounts();
-  // After Mem.clearStats(): the monitor's delta baselines re-zero with
-  // the counters they shadow (the policy keeps its warmup learning).
+  // After Mem.clearStats(): the monitor's delta baseline re-zeroes with
+  // the counters it shadows (the policy keeps its warmup learning).
   if (Monitor)
     Monitor->onMeasurementStart();
 }

@@ -12,23 +12,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sim/Simulation.h"
+#include "GoldenFile.h"
 #include "workloads/Workloads.h"
 #include "workloads/fuzz/FuzzGenerator.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <cstdint>
 #include <string>
 
-#ifndef TRIDENT_GOLDEN_DIR
-#error "TRIDENT_GOLDEN_DIR must be defined by the build"
-#endif
-
 using namespace trident;
+using namespace trident::golden;
 
 namespace {
 
@@ -51,40 +45,9 @@ constexpr Scenario kCorpus[] = {
     {"fuzz@105:wset=16384,streams=10", "fuzz_105"},
 };
 
-/// Same budget and mode as golden_stats_test, so the two corpora exercise
-/// the same machine shape.
-SimConfig goldenConfig() {
-  SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  C.SimInstructions = 40'000;
-  C.WarmupInstructions = 10'000;
-  return C;
-}
-
-std::string goldenPath(const std::string &File) {
-  return std::string(TRIDENT_GOLDEN_DIR) + "/" + File + ".jsonl";
-}
-
-std::string firstDiff(const std::string &Expected, const std::string &Actual) {
-  std::istringstream E(Expected), A(Actual);
-  std::string LE, LA;
-  for (unsigned Line = 1;; ++Line) {
-    bool HaveE = static_cast<bool>(std::getline(E, LE));
-    bool HaveA = static_cast<bool>(std::getline(A, LA));
-    if (!HaveE && !HaveA)
-      return "(no difference found line-wise; byte difference only)";
-    if (LE != LA || HaveE != HaveA) {
-      std::ostringstream Msg;
-      Msg << "first difference at line " << Line << ":\n  golden: "
-          << (HaveE ? LE : "<eof>") << "\n  actual: " << (HaveA ? LA : "<eof>");
-      return Msg.str();
-    }
-  }
-}
-
 } // namespace
 
 TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
-  const bool Update = std::getenv("TRIDENT_UPDATE_GOLDENS") != nullptr;
   for (const Scenario &S : kCorpus) {
     Workload W = makeWorkload(S.Spec);
     // The corpus lists canonical specs, so the resolved name round-trips;
@@ -97,34 +60,7 @@ TEST(FuzzGolden, CorpusMatchesCommittedSnapshots) {
     ASSERT_TRUE(R.Registry->has("workload.program_hash")) << S.Spec;
     ASSERT_EQ(R.Registry->counter("workload.program_hash"), W.ProgramHash)
         << S.Spec;
-    const std::string Actual = R.Registry->toJsonl();
-
-    if (Update) {
-      std::ofstream Out(goldenPath(S.File),
-                        std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(Out) << "cannot write " << goldenPath(S.File);
-      Out << Actual;
-      continue;
-    }
-
-    std::ifstream In(goldenPath(S.File), std::ios::binary);
-    ASSERT_TRUE(In) << "missing golden snapshot " << goldenPath(S.File)
-                    << " — run tools/update_goldens.sh and commit the result";
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    const std::string Expected = Buf.str();
-
-    if (Expected != Actual) {
-      std::filesystem::create_directories("golden_diff");
-      std::ofstream Dump("golden_diff/" + std::string(S.File) + ".jsonl",
-                         std::ios::binary | std::ios::trunc);
-      Dump << Actual;
-    }
-    EXPECT_TRUE(Expected == Actual)
-        << S.Spec << ": stat export drifted from tests/golden/" << S.File
-        << ".jsonl (actual dumped to golden_diff/" << S.File << ".jsonl; "
-        << "regen via tools/update_goldens.sh if the change is intended)\n"
-        << firstDiff(Expected, Actual);
+    checkGolden(S.Spec, S.File, R.Registry->toJsonl());
   }
 }
 

@@ -15,93 +15,20 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sim/Simulation.h"
+#include "GoldenFile.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#ifndef TRIDENT_GOLDEN_DIR
-#error "TRIDENT_GOLDEN_DIR must be defined by the build"
-#endif
-
 using namespace trident;
-
-namespace {
-
-/// The snapshot budget: small enough that all 14 workloads run in seconds,
-/// long enough that tracing, optimization, and repair all engage. Matches
-/// the fault-injection identity tests so the two suites cross-check.
-SimConfig goldenConfig() {
-  SimConfig C = SimConfig::withMode(PrefetchMode::SelfRepairing);
-  C.SimInstructions = 40'000;
-  C.WarmupInstructions = 10'000;
-  return C;
-}
-
-std::string goldenPath(const std::string &Name) {
-  return std::string(TRIDENT_GOLDEN_DIR) + "/" + Name + ".jsonl";
-}
-
-/// First line where the two exports differ, for a readable failure message
-/// (the full JSONL is hundreds of lines; gtest would print all of them).
-std::string firstDiff(const std::string &Expected, const std::string &Actual) {
-  std::istringstream E(Expected), A(Actual);
-  std::string LE, LA;
-  for (unsigned Line = 1;; ++Line) {
-    bool HaveE = static_cast<bool>(std::getline(E, LE));
-    bool HaveA = static_cast<bool>(std::getline(A, LA));
-    if (!HaveE && !HaveA)
-      return "(no difference found line-wise; byte difference only)";
-    if (LE != LA || HaveE != HaveA) {
-      std::ostringstream Msg;
-      Msg << "first difference at line " << Line << ":\n  golden: "
-          << (HaveE ? LE : "<eof>") << "\n  actual: "
-          << (HaveA ? LA : "<eof>");
-      return Msg.str();
-    }
-  }
-}
-
-} // namespace
+using namespace trident::golden;
 
 TEST(GoldenStats, AllWorkloadsMatchCommittedSnapshots) {
-  const bool Update = std::getenv("TRIDENT_UPDATE_GOLDENS") != nullptr;
   for (const std::string &Name : workloadNames()) {
-    Workload W = makeWorkload(Name);
-    SimResult R = runSimulation(W, goldenConfig());
+    SimResult R = runSimulation(makeWorkload(Name), goldenConfig());
     ASSERT_TRUE(R.Registry) << Name;
-    const std::string Actual = R.Registry->toJsonl();
-
-    if (Update) {
-      std::ofstream Out(goldenPath(Name), std::ios::binary | std::ios::trunc);
-      ASSERT_TRUE(Out) << "cannot write " << goldenPath(Name);
-      Out << Actual;
-      continue;
-    }
-
-    std::ifstream In(goldenPath(Name), std::ios::binary);
-    ASSERT_TRUE(In) << "missing golden snapshot " << goldenPath(Name)
-                    << " — run tools/update_goldens.sh and commit the result";
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    const std::string Expected = Buf.str();
-
-    if (Expected != Actual) {
-      std::filesystem::create_directories("golden_diff");
-      std::ofstream Dump("golden_diff/" + Name + ".jsonl",
-                         std::ios::binary | std::ios::trunc);
-      Dump << Actual;
-    }
-    EXPECT_TRUE(Expected == Actual)
-        << Name << ": stat export drifted from tests/golden/" << Name
-        << ".jsonl (actual dumped to golden_diff/" << Name << ".jsonl; "
-        << "regen via tools/update_goldens.sh if the change is intended)\n"
-        << firstDiff(Expected, Actual);
+    checkGolden(Name, Name, R.Registry->toJsonl());
   }
 }

@@ -13,6 +13,7 @@
 #include "hwpf/Tskid.h"
 #include "mem/MemorySystem.h"
 #include "sim/Simulation.h"
+#include "support/Check.h"
 #include "workloads/Workloads.h"
 #include "workloads/fuzz/FuzzGenerator.h"
 
@@ -774,11 +775,12 @@ TEST(HwPfContract, HooksFireFromMemorySystemAccess) {
   EXPECT_EQ(Pf->Misses, 1u);
   EXPECT_EQ(Pf->Fills, 1u);
 
-  // Hardware-prefetch traffic never trains the access hook.
-  M.access(0x100, 0x20000, AccessKind::DemandLoad, 20'000);
-  uint64_t AccessesBefore = Pf->Accesses;
-  M.access(0x100, 0x20000, AccessKind::HardwarePrefetch, 30'000);
-  EXPECT_EQ(Pf->Accesses, AccessesBefore);
+  // Hardware prefetches have one entry, fetchBeyondL1, which counts
+  // them; access() refuses them.
+#if TRIDENT_DCHECKS_ENABLED
+  EXPECT_DEATH(M.access(0x100, 0x20000, AccessKind::HardwarePrefetch, 30'000),
+               "fetchBeyondL1");
+#endif
 }
 
 TEST(HwPfContract, TskidFillHookFiresEndToEnd) {
@@ -820,6 +822,13 @@ TEST(HwPfContract, FeedbackCountersTrackStreamBufferActivity) {
   EXPECT_GE(Fb.accuracy(), 0.0);
   EXPECT_LE(Fb.coverage(), 1.0);
   EXPECT_GT(Fb.coverage(), 0.0);
+
+  // The feedback is a view of the memory stats, field by field.
+  const MemStats &S = M.stats();
+  EXPECT_EQ(Fb.Issued, S.HardwarePrefetches);
+  EXPECT_EQ(Fb.Useful, S.HitsPrefetched);
+  EXPECT_EQ(Fb.Late, S.PartialHits);
+  EXPECT_EQ(Fb.DemandMisses, S.Misses + S.MissesDueToPrefetch);
 
   // clearStats resets the feedback channel with the rest.
   M.clearStats();

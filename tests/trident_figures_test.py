@@ -3,6 +3,9 @@
 
 * An unknown figure name exits 2 with exactly one stderr line and empty
   stdout, before anything is simulated.
+* So does a bad environment knob: a name a figure's axis filter does not
+  know (checked even when that figure is not asked for) and a
+  TRIDENT_BENCH_QUICK that is not 0 or 1.
 * A JSONL write error exits 1 with one stderr line naming the path
   (TRIDENT_FIG9_OUT=/dev/full: the open succeeds, the writes fail).
 * Cross-figure memo cache: `fig4_coverage fig5_speedup fig6_breakdown` in
@@ -42,6 +45,20 @@ def main():
                         f"stdout={len(r.stdout)} bytes")
     elif "no_such_figure" not in lines[0]:
         failures.append(f"unknown name not named: {lines[0]!r}")
+
+    bad_knobs = [("TRIDENT_FIG9_HWPF", "sb8x8,sb8x9", "sb8x9"),
+                 ("TRIDENT_FIG9_WORKLOADS", "mcf,mfc", "mfc"),
+                 ("TRIDENT_FIG10_WORKLOADS", "nosuch", "nosuch"),
+                 ("TRIDENT_FIG11_HWPF", "dcpt,", "''"),
+                 ("TRIDENT_BENCH_QUICK", "yes", "yes")]
+    for var, value, named in bad_knobs:
+        r = run(binary, ["fig2_baseline"], **{var: value})
+        lines = r.stderr.splitlines()
+        if r.returncode != 2 or len(lines) != 1 or r.stdout:
+            failures.append(f"{var}={value}: rc={r.returncode} "
+                            f"stderr={lines!r} stdout={len(r.stdout)} bytes")
+        elif var not in lines[0] or named not in lines[0]:
+            failures.append(f"{var}={value} not named: {lines[0]!r}")
 
     r = run(binary, ["fig9_hw_vs_sw"], TRIDENT_FIG9_OUT="/dev/full",
             TRIDENT_FIG9_WORKLOADS="mcf", TRIDENT_FIG9_HWPF="sb8x8")

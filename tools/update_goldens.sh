@@ -12,7 +12,7 @@ BUILD_DIR="${1:-$REPO_ROOT/build}"
 
 TESTS=(golden_stats_test fuzz_golden_test sweep_identity_test)
 
-cmake --build "$BUILD_DIR" --target "${TESTS[@]}" -j
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}" -j"$(nproc)"
 for T in "${TESTS[@]}"; do
   (cd "$BUILD_DIR/tests" && TRIDENT_UPDATE_GOLDENS=1 "./$T")
 done
